@@ -21,6 +21,7 @@ from .cactus_core import (
 from .certificates import (
     RING_F2,
     RING_Z,
+    CertificateFormatError,
     DegreeCapReached,
     SeparationCertificate,
     verify_certificate,
@@ -58,6 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CactusGenerator",
     "CactusWord",
+    "CertificateFormatError",
     "DegreeCapReached",
     "DiagramWord",
     "F2Series",

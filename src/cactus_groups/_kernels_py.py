@@ -1,18 +1,24 @@
-"""Pure-Python word kernels: the inner loops of every group/algebra operation.
+"""Pure-Python kernels: the inner loops of every group/algebra operation.
 
 A chord set is an int bitmask over strands (bit ``1 << (i - 1)`` for strand
 ``i``); a word is a tuple of such masks.  Two letters commute exactly when
 one contains the other or they are disjoint, which makes words over this
-alphabet a trace monoid: the functions here decide leanness (no equal pair
-can be made adjacent by commutations), delete such pairs, compute the
-lexicographically least word of a commutation class, and run bounded BFS
-over the relation moves (commuting swaps, square deletion, square
-insertion).
+alphabet a trace monoid, and the diagram group a right-angled Coxeter
+group over it.
 
-`cactus_groups._kernels_cy` is a compiled twin with the same interface;
-`cactus_groups.kernels` selects between them at import time.  Keep the two
-implementations behaviourally identical: `tests/test_kernels.py` runs the
-same suite against both.
+Every word kernel is a fold of one primitive, `append_slot`: where a letter
+goes when it is appended to a canonical word (the lexicographically least
+word of its commutation class).  By Anisimov and Knuth's inhomogeneous
+sorting, that canonical product is the old word with the letter inserted;
+by the Crisp-Godelle-Wiest stack reduction for right-angled groups, an
+equal letter the new one reaches across commuting letters cancels it.  One
+backward scan decides both, so a word of L letters costs L scans instead
+of a restart after every deletion.
+
+The breadth-first kernels (`bfs_reach`, `reachable_class`, `swap_class`,
+`component_ids`) serve the test oracle.  `cactus_groups._kernels_cy` is a
+compiled twin of them; `cactus_groups.kernels` selects between the two and
+always takes the word kernels from here.
 
 BFS functions return ``None`` instead of raising when a state cap is hit;
 callers turn that into their own error.
@@ -38,86 +44,80 @@ def commutes(a: int, b: int) -> bool:
     return c == 0 or c == a or c == b
 
 
-def is_lean(word: Sequence[int]) -> bool:
-    """True iff no equal pair of letters can be made adjacent by commutations.
+def append_slot(word: Sequence[int], letter: int, cancel: bool = True) -> int:
+    """Where ``letter`` goes when appended to the canonical word ``word``.
 
-    Scans right from each letter: a later equal letter reached across
-    commuting letters only is exactly a deletable (non-lean) pair.
+    Scans back from the end across letters that commute with ``letter``.
+    With ``cancel``, reaching an equal letter at index j returns ``~j``
+    (negative): in the group the product is ``word`` without that letter,
+    and in the square-zero algebra it is zero.  Otherwise equal letters
+    commute like any other, and the result is the index at which inserting
+    ``letter`` gives the canonical form of the product: the first position
+    past the scan's barrier that holds a larger letter, else the end.
+
+    >>> append_slot((3, 12), 5), append_slot((3, 12), 4), append_slot((3, 12), 3)
+    (2, 1, -1)
+    >>> append_slot((3, 12), 3, cancel=False)
+    1
     """
-    n = len(word)
-    for i in range(n - 1):
-        a = word[i]
-        for j in range(i + 1, n):
-            b = word[j]
-            if b == a:
-                return False
-            c = a & b
-            if c != 0 and c != a and c != b:
-                break
-    return True
+    slot = len(word)
+    for j in range(len(word) - 1, -1, -1):
+        b = word[j]
+        if b == letter:
+            if cancel:
+                return ~j
+            continue
+        c = b & letter
+        if c != 0 and c != b and c != letter:
+            break
+        if b > letter:
+            slot = j
+    return slot
 
 
 def lean_reduce(word: Sequence[int]) -> Word:
-    """Delete equal pairs separated only by commuting letters until lean.
+    """Canonical form of the group element: the lean word, lexicographically
+    least in its commutation class.
 
-    Deletes the leftmost pair first, innermost occurrence for that left
-    endpoint; any deletion order yields the same group element.
+    Appends the letters one at a time; a letter that reaches an equal one
+    across commuting letters deletes it.  Any deletion order yields the same
+    element, and the fold keeps the prefix canonical throughout.
     """
-    letters = list(word)
-    changed = True
-    while changed:
-        changed = False
-        n = len(letters)
-        for i in range(n - 1):
-            a = letters[i]
-            for j in range(i + 1, n):
-                b = letters[j]
-                if b == a:
-                    del letters[j]
-                    del letters[i]
-                    changed = True
-                    break
-                c = a & b
-                if c != 0 and c != a and c != b:
-                    break
-            if changed:
-                break
-    return tuple(letters)
+    out: list[int] = []
+    for a in word:
+        slot = append_slot(out, a)
+        if slot < 0:
+            del out[~slot]
+        else:
+            out.insert(slot, a)
+    return tuple(out)
 
 
 def lex_least(word: Sequence[int]) -> Word:
     """Lexicographically least word of the commutation class of ``word``.
 
-    Greedy extraction: a letter can be moved to the front iff everything
-    before it commutes with it; always take the least movable letter.
-    The first letter of any equivalent word must be movable in this sense,
-    so the greedy choice is the least achievable prefix at every step.
+    Equal letters commute and never cancel, so repeated letters survive.
     """
-    remaining = list(word)
-    out = []
-    while remaining:
-        best = -1
-        m = len(remaining)
-        for j in range(m):
-            b = remaining[j]
-            movable = True
-            for i in range(j):
-                a = remaining[i]
-                c = a & b
-                if c != 0 and c != a and c != b:
-                    movable = False
-                    break
-            if movable and (best < 0 or b < remaining[best]):
-                best = j
-        out.append(remaining.pop(best))
+    out: list[int] = []
+    for a in word:
+        out.insert(append_slot(out, a, cancel=False), a)
     return tuple(out)
 
 
 def canonical_if_lean(word: Sequence[int]) -> Word | None:
     """Canonical form of a lean word, or None when the word is not lean."""
-    if not is_lean(word):
-        return None
-    return lex_least(word)
+    out: list[int] = []
+    for a in word:
+        slot = append_slot(out, a)
+        if slot < 0:
+            return None
+        out.insert(slot, a)
+    return tuple(out)
+
+
+def is_lean(word: Sequence[int]) -> bool:
+    """True iff no equal pair of letters can be made adjacent by commutations."""
+    return canonical_if_lean(word) is not None
 
 
 def _neighbors(w: Word, letters: Sequence[int], max_len: int) -> list[Word]:

@@ -20,26 +20,13 @@ bounded degree.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from . import kernels
-from .certificates import RING_F2, DegreeCapReached, SeparationCertificate
-from .words import DiagramWord, format_diagram_word
+from .certificates import RING_F2, SeparationCertificate, _separate
+from .words import DiagramWord
 
 F2Monomial = tuple  # chord masks, lex-least in the commutation class
-
-
-class Special(enum.Enum):
-    """Out-of-band monomial products: the zero monomial and a dropped
-    above-truncation term."""
-
-    ZERO = "zero"
-    OVERFLOW = "overflow"
-
-
-ZERO = Special.ZERO
-OVERFLOW = Special.OVERFLOW
 
 
 @dataclass(frozen=True)
@@ -66,52 +53,20 @@ class F2Series:
     def is_one(self) -> bool:
         return self.support == frozenset([()])
 
+    def terms(self) -> tuple:
+        """Nonconstant (monomial, coefficient) pairs, sorted by monomial."""
+        return tuple(sorted((m, 1) for m in self.support if m))
+
 
 def f2_one(degree: int) -> F2Series:
     return F2Series(degree, frozenset([()]))
 
 
-def monomial_multiply(a: F2Monomial, b: F2Monomial, degree: int):
-    """Concatenate monomials: OVERFLOW above the truncation degree, ZERO
-    when a repeated chord meets itself across commuting letters, else the
-    canonical form.
-
-    >>> monomial_multiply((0b011,), (0b011,), 4)
-    <Special.ZERO: 'zero'>
-    """
-    if len(a) + len(b) > degree:
-        return OVERFLOW
-    mono = kernels.canonical_if_lean(a + b)
-    return ZERO if mono is None else mono
-
-
-def f2_add(x: F2Series, y: F2Series) -> F2Series:
-    if x.degree != y.degree:
-        raise ValueError(f"degree mismatch: {x.degree} != {y.degree}")
-    return F2Series(x.degree, x.support.symmetric_difference(y.support))
-
-
-def f2_multiply(x: F2Series, y: F2Series) -> F2Series:
-    """Distribute over supports; coefficients add mod 2, so colliding
-    products cancel out of the result."""
-    if x.degree != y.degree:
-        raise ValueError(f"degree mismatch: {x.degree} != {y.degree}")
-    degree = x.degree
-    acc = set()
-    for ma in x.support:
-        room = degree - len(ma)
-        for mb in y.support:
-            if len(mb) > room:
-                continue
-            mono = kernels.canonical_if_lean(ma + mb)
-            if mono is not None:
-                acc.symmetric_difference_update((mono,))
-    return F2Series(degree, frozenset(acc))
-
-
 def f2_image(w: DiagramWord, degree: int) -> F2Series:
     """Image of a chord word: the truncated product of 1 + t over its
-    letters.
+    letters.  Each letter grows every monomial below the truncation degree
+    by one append; a monomial whose new letter meets an equal one across
+    commuting letters vanishes.
 
     >>> sorted(f2_image(DiagramWord(2, (0b11, 0b11)), 3).support)
     [()]
@@ -123,28 +78,11 @@ def f2_image(w: DiagramWord, degree: int) -> F2Series:
         step = set(support)
         for mono in support:
             if len(mono) < degree:
-                grown = kernels.canonical_if_lean(mono + (letter,))
-                if grown is not None:
-                    step.symmetric_difference_update((grown,))
+                slot = kernels.append_slot(mono, letter)
+                if slot >= 0:
+                    step.symmetric_difference_update((mono[:slot] + (letter,) + mono[slot:],))
         support = step
     return F2Series(degree, frozenset(support))
-
-
-def f2_inverse(x: F2Series) -> F2Series:
-    """Inverse of a series with constant term 1, by the geometric series
-    in (x - 1), which is nilpotent under truncation."""
-    if x.constant_term != 1:
-        raise ValueError("only series with constant term 1 are inverted here")
-    u = frozenset(m for m in x.support if m)  # x - 1
-    degree = x.degree
-    acc = f2_one(degree)
-    power = f2_one(degree)
-    for _ in range(degree):
-        power = f2_multiply(power, F2Series(degree, u))
-        if not power.support:
-            break
-        acc = f2_add(acc, power)
-    return acc
 
 
 def homogeneous_component(x: F2Series, d: int) -> frozenset:
@@ -166,21 +104,4 @@ def nilpotent_separation(
     >>> cert.degree, cert.witness
     (1, (((3,), 1),))
     """
-    lean = kernels.lean_reduce(w.letters)
-    if not lean:
-        return None
-    reduced = DiagramWord(w.n, lean)
-    cap = len(lean) if max_degree is None else min(max_degree, len(lean))
-    for k in range(1, cap + 1):
-        image = f2_image(reduced, k)
-        if not image.is_one():
-            witness = tuple(sorted((m, 1) for m in image.support if m))
-            return SeparationCertificate(
-                element=format_diagram_word(w),
-                ring=RING_F2,
-                degree=k,
-                witness=witness,
-            )
-    if cap < len(lean):
-        raise DegreeCapReached(f"not separated by degree {cap}")
-    raise RuntimeError("lean word image was trivial at its own length; impossible")
+    return _separate(w, max_degree, f2_image, RING_F2)

@@ -19,14 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Literal, Mapping
+from typing import Mapping
 
 from . import kernels
-from .certificates import RING_Z, DegreeCapReached, SeparationCertificate
+from .certificates import RING_Z, SeparationCertificate, _separate
 from .diagram_group import in_even_subgroup
-from .words import DiagramWord, format_diagram_word
+from .words import DiagramWord
 
 ZMonomial = tuple  # chord masks, lex-least in the commutation class; repeats allowed
+
+
+class _Canonical(dict):
+    """Coefficients already keyed by canonical monomials, with no zeros and
+    none above the truncation degree; `ZSeries` keeps them as they are."""
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,9 @@ class ZSeries:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("truncation degree must be at least 1")
+        if isinstance(self.coeffs, _Canonical):
+            object.__setattr__(self, "coeffs", MappingProxyType(self.coeffs))
+            return
         acc: dict = {}
         for m, c in self.coeffs.items():
             if c == 0:
@@ -60,53 +68,13 @@ class ZSeries:
     def coefficient(self, mono: ZMonomial) -> int:
         return self.coeffs.get(kernels.lex_least(mono), 0)
 
+    def terms(self) -> tuple:
+        """Nonconstant (monomial, coefficient) pairs, sorted by monomial."""
+        return tuple(sorted((m, c) for m, c in self.coeffs.items() if m))
+
 
 def z_one(degree: int) -> ZSeries:
     return ZSeries(degree, {(): 1})
-
-
-def z_add(x: ZSeries, y: ZSeries) -> ZSeries:
-    if x.degree != y.degree:
-        raise ValueError(f"degree mismatch: {x.degree} != {y.degree}")
-    acc = dict(x.coeffs)
-    for mono, c in y.coeffs.items():
-        acc[mono] = acc.get(mono, 0) + c
-    return ZSeries(x.degree, acc)
-
-
-def z_multiply(x: ZSeries, y: ZSeries) -> ZSeries:
-    """Distributive product: concatenations canonicalized, like terms
-    combined over the integers, terms above the truncation degree dropped.
-    """
-    if x.degree != y.degree:
-        raise ValueError(f"degree mismatch: {x.degree} != {y.degree}")
-    degree = x.degree
-    acc: dict = {}
-    for ma, ca in x.coeffs.items():
-        room = degree - len(ma)
-        for mb, cb in y.coeffs.items():
-            if len(mb) > room:
-                continue
-            mono = kernels.lex_least(ma + mb)
-            acc[mono] = acc.get(mono, 0) + ca * cb
-    return ZSeries(degree, acc)
-
-
-def generator_factor(mask: int, occurrence_parity: Literal["odd", "even"], degree: int) -> ZSeries:
-    """The factor contributed by one occurrence of a chord: 1 + t for an
-    odd-numbered occurrence, the truncated geometric inverse for an even
-    one.
-
-    >>> dict(generator_factor(0b11, "even", 2).coeffs) == {(): 1, (3,): -1, (3, 3): 1}
-    True
-    """
-    if degree < 1:
-        raise ValueError("truncation degree must be at least 1")
-    if occurrence_parity == "odd":
-        return ZSeries(degree, {(): 1, (mask,): 1})
-    if occurrence_parity == "even":
-        return ZSeries(degree, {(mask,) * j: (-1) ** j for j in range(degree + 1)})
-    raise ValueError(f"occurrence_parity must be 'odd' or 'even', got {occurrence_parity!r}")
 
 
 def z_image(w: DiagramWord, degree: int) -> ZSeries:
@@ -114,35 +82,35 @@ def z_image(w: DiagramWord, degree: int) -> ZSeries:
     chord's occurrences and multiply the per-occurrence factors in order.
     Outside the even subgroup the assignment is not relation invariant, so
     such input is rejected.
+
+    A factor 1 + t or 1 - t + t^2 - ... grows each monomial m into m a^j.
+    Appending a letter again lands right after its previous copy, so one
+    scan finds the slot for every power.
     """
     if degree < 1:
         raise ValueError("truncation degree must be at least 1")
     if not in_even_subgroup(w):
         raise ValueError("word is outside the even diagram subgroup (odd chord parity)")
-    counts: dict = {}
-    acc = z_one(degree)
-    for mask in w.letters:
-        counts[mask] = counts.get(mask, 0) + 1
-        parity = "odd" if counts[mask] % 2 == 1 else "even"
-        acc = z_multiply(acc, generator_factor(mask, parity, degree))
-    return acc
-
-
-def z_inverse(x: ZSeries) -> ZSeries:
-    """Inverse of a series with constant term +-1 via the geometric series."""
-    c = x.constant_term
-    if c not in (1, -1):
-        raise ValueError("only series with constant term +-1 are inverted here")
-    # x = c (1 + u) with u of positive degree; sum c (-u)^j.
-    u = ZSeries(x.degree, {m: c * v for m, v in x.coeffs.items() if m})
-    acc = z_one(x.degree)
-    power = z_one(x.degree)
-    for _ in range(x.degree):
-        power = z_multiply(power, ZSeries(x.degree, {m: -v for m, v in u.coeffs.items()}))
-        if not power.coeffs:
-            break
-        acc = z_add(acc, power)
-    return ZSeries(x.degree, {m: c * v for m, v in acc.coeffs.items()})
+    seen_odd: set = set()  # chords met an odd number of times so far
+    acc: dict = {(): 1}
+    for letter in w.letters:
+        odd = letter not in seen_odd
+        seen_odd.symmetric_difference_update((letter,))
+        step = dict(acc)
+        for mono, coeff in acc.items():
+            room = degree - len(mono)
+            if not room:
+                continue
+            slot = kernels.append_slot(mono, letter, cancel=False)
+            head, tail = mono[:slot], mono[slot:]
+            term = coeff
+            for power in range(1, 2 if odd else room + 1):
+                if not odd:
+                    term = -term
+                grown = head + (letter,) * power + tail
+                step[grown] = step.get(grown, 0) + term
+        acc = {m: c for m, c in step.items() if c}
+    return ZSeries(degree, _Canonical(acc))
 
 
 def homogeneous_component(x: ZSeries, d: int) -> dict:
@@ -161,21 +129,4 @@ def tfn_separation(
     """
     if not in_even_subgroup(w):
         raise ValueError("word is outside the even diagram subgroup (odd chord parity)")
-    lean = kernels.lean_reduce(w.letters)
-    if not lean:
-        return None
-    reduced = DiagramWord(w.n, lean)
-    cap = len(lean) if max_degree is None else min(max_degree, len(lean))
-    for k in range(1, cap + 1):
-        image = z_image(reduced, k)
-        if not image.is_one():
-            witness = tuple(sorted((m, c) for m, c in image.coeffs.items() if m))
-            return SeparationCertificate(
-                element=format_diagram_word(w),
-                ring=RING_Z,
-                degree=k,
-                witness=witness,
-            )
-    if cap < len(lean):
-        raise DegreeCapReached(f"not separated by degree {cap}")
-    raise RuntimeError("lean even word image was trivial at its own length; impossible")
+    return _separate(w, max_degree, z_image, RING_Z)

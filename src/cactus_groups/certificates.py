@@ -8,8 +8,11 @@ through 1 + t_I); ring "z-torsion-free" to the integer partially
 commutative power-series algebra with the alternating-occurrence map.
 
 `verify_certificate` recomputes the truncated image by direct expansion of
-the defining product, a code path separate from the series arithmetic that
-produced the certificate, and confirms the witness and its minimality.
+the defining product over subsequences of the word, a code path separate
+from the letter-by-letter images that produced the certificate (the two
+share only the kernel primitive), and confirms the witness and its
+minimality.  `SeparationCertificate.from_json` validates the layout below
+and raises `CertificateFormatError` for anything else.
 
 JSON layout::
 
@@ -25,7 +28,13 @@ import json
 from dataclasses import dataclass
 
 from . import kernels
-from .words import chord_mask, chord_members, parse_diagram_word
+from .words import (
+    DiagramWord,
+    chord_mask,
+    chord_members,
+    format_diagram_word,
+    parse_diagram_word,
+)
 
 RING_F2 = "f2-nilpotent"
 RING_Z = "z-torsion-free"
@@ -35,6 +44,35 @@ Monomial = tuple  # tuple[int, ...], chord masks in canonical order
 
 class DegreeCapReached(RuntimeError):
     """A separation search hit its degree cap before separating."""
+
+
+class CertificateFormatError(ValueError):
+    """Certificate data that does not follow the JSON layout."""
+
+
+def _field(data, key: str, kind: type):
+    if not isinstance(data, dict):
+        raise CertificateFormatError(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise CertificateFormatError(f"missing key {key!r}")
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise CertificateFormatError(
+            f"{key!r} must be of type {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _chord(members) -> int:
+    if (
+        not isinstance(members, list)
+        or not members
+        or not all(type(i) is int and i >= 1 for i in members)
+    ):
+        raise CertificateFormatError(
+            f"a chord must be a nonempty list of strands numbered from 1, got {members!r}"
+        )
+    return chord_mask(members, max(members))
 
 
 @dataclass(frozen=True)
@@ -73,21 +111,47 @@ class SeparationCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> SeparationCertificate:
+        """Read the JSON layout; `CertificateFormatError` for any deviation."""
+        element = _field(data, "element", str)
+        ring = _field(data, "ring", str)
+        degree = _field(data, "degree", int)
         witness = []
-        for entry in data["witness"]:
-            chord_lists = entry["monomial"]
-            mono = tuple(chord_mask(chord, max(chord)) for chord in chord_lists)
-            witness.append((mono, int(entry["coeff"])))
-        return cls(
-            element=data["element"],
-            ring=data["ring"],
-            degree=int(data["degree"]),
-            witness=tuple(sorted(witness)),
-        )
+        for entry in _field(data, "witness", list):
+            mono = tuple(_chord(chord) for chord in _field(entry, "monomial", list))
+            witness.append((mono, _field(entry, "coeff", int)))
+        try:
+            return cls(element, ring, degree, tuple(sorted(witness)))
+        except ValueError as exc:
+            raise CertificateFormatError(str(exc)) from None
 
     @classmethod
     def from_json(cls, text: str) -> SeparationCertificate:
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise CertificateFormatError(f"not JSON: {exc}") from None
+        return cls.from_dict(data)
+
+
+def _separate(w: DiagramWord, max_degree: int | None, image, ring: str):
+    """The separation search of both rings: the first truncation degree at
+    which ``image`` of the lean reduction differs from 1, or None for the
+    trivial element.
+    """
+    if max_degree is not None and max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
+    lean = kernels.lean_reduce(w.letters)
+    if not lean:
+        return None
+    reduced = DiagramWord(w.n, lean)
+    cap = len(lean) if max_degree is None else min(max_degree, len(lean))
+    for k in range(1, cap + 1):
+        series = image(reduced, k)
+        if not series.is_one():
+            return SeparationCertificate(format_diagram_word(w), ring, k, series.terms())
+    if cap < len(lean):
+        raise DegreeCapReached(f"not separated by degree {cap}")
+    raise RuntimeError("lean word image was trivial at its own length; impossible")
 
 
 def _infer_arity(cert: SeparationCertificate) -> int:
@@ -104,27 +168,25 @@ def _expand_f2(letters: tuple, degree: int) -> dict:
     """Degree -> {monomial} with odd coefficient, by subsequence expansion.
 
     The image of a word under t -> 1 + t is the sum over subsequences of
-    the subsequence's monomial; monomials with a repeated letter adjacent
-    up to commutation vanish.  Expansion is depth-first with the degree
-    budget pruning the choice tree.
+    the subsequence's monomial.  Each subsequence is grown one chosen
+    letter at a time and kept canonical by appending; once a chosen letter
+    meets an equal one across commuting letters the monomial is zero, and
+    every extension of it stays zero, so the branch is dropped.  The walk
+    runs on an explicit stack, so no word length meets the recursion limit.
     """
     components: dict[int, set] = {d: set() for d in range(1, degree + 1)}
-
-    def walk(i: int, chosen: list):
-        if len(chosen) == degree or i == len(letters):
-            if chosen:
-                mono = kernels.canonical_if_lean(tuple(chosen))
-                if mono is not None:
-                    components[len(mono)].symmetric_difference_update((mono,))
-            return
-        walk_budget = degree - len(chosen)
-        if walk_budget > 0:
-            chosen.append(letters[i])
-            walk(i + 1, chosen)
-            chosen.pop()
-        walk(i + 1, chosen)
-
-    walk(0, [])
+    stack = [(0, ())]  # (next letter that may be chosen, monomial so far)
+    while stack:
+        start, mono = stack.pop()
+        if mono:
+            components[len(mono)].symmetric_difference_update((mono,))
+        if len(mono) == degree:
+            continue
+        for i in range(start, len(letters)):
+            letter = letters[i]
+            slot = kernels.append_slot(mono, letter)
+            if slot >= 0:
+                stack.append((i + 1, mono[:slot] + (letter,) + mono[slot:]))
     return components
 
 
@@ -132,6 +194,9 @@ def _expand_z(letters: tuple, degree: int) -> dict:
     """Degree -> {monomial: coeff}, by direct expansion of the alternating
     product: the c-th occurrence of a chord contributes 1 + t for odd c and
     the truncated geometric inverse for even c; choose one term per factor.
+
+    Like `_expand_f2`, the walk visits each choice of non-constant terms
+    once, on an explicit stack, appending t^j to the monomial as j letters.
     """
     seen: dict[int, int] = {}
     factors = []  # (mask, is_odd_occurrence)
@@ -141,35 +206,28 @@ def _expand_z(letters: tuple, degree: int) -> dict:
         factors.append((mask, count % 2 == 1))
 
     components: dict[int, dict] = {d: {} for d in range(1, degree + 1)}
-
-    def walk(i: int, chosen: list, sign: int):
-        if i == len(factors):
-            if chosen:
-                mono = kernels.lex_least(tuple(chosen))
-                comp = components[len(mono)]
-                coeff = comp.get(mono, 0) + sign
-                if coeff:
-                    comp[mono] = coeff
-                else:
-                    del comp[mono]
-            return
-        mask, odd = factors[i]
-        budget = degree - len(chosen)
-        if odd:
-            walk(i + 1, chosen, sign)
-            if budget >= 1:
-                chosen.append(mask)
-                walk(i + 1, chosen, sign)
-                chosen.pop()
-        else:
-            for power in range(budget + 1):
-                if power:
-                    chosen.extend([mask] * power)
-                walk(i + 1, chosen, sign if power % 2 == 0 else -sign)
-                if power:
-                    del chosen[-power:]
-
-    walk(0, [], 1)
+    stack = [(0, (), 1)]  # (next factor, monomial so far, sign)
+    while stack:
+        start, mono, sign = stack.pop()
+        if mono:
+            comp = components[len(mono)]
+            coeff = comp.get(mono, 0) + sign
+            if coeff:
+                comp[mono] = coeff
+            else:
+                del comp[mono]
+        room = degree - len(mono)
+        if not room:
+            continue
+        for i in range(start, len(factors)):
+            mask, odd = factors[i]
+            grown, term_sign = mono, sign
+            for _ in range(1 if odd else room):
+                slot = kernels.append_slot(grown, mask, cancel=False)
+                grown = grown[:slot] + (mask,) + grown[slot:]
+                if not odd:
+                    term_sign = -term_sign
+                stack.append((i + 1, grown, term_sign))
     return components
 
 

@@ -103,7 +103,12 @@ def _cmd_project(args: argparse.Namespace) -> int:
 def _parse_single_chord(text: str, n: int) -> int:
     w = parse_diagram_word(text, n)
     if len(w.letters) != 1:
-        raise ParseError(f"expected exactly one chord token, got {len(w.letters)}")
+        # Point at the first surplus token, or at the missing first one.
+        tokens = text.split()
+        token, position = (tokens[1], 2) if tokens else ("", 1)
+        raise ParseError(
+            f"expected exactly one chord token, got {len(w.letters)}", token, position
+        )
     return w.letters[0]
 
 

@@ -73,18 +73,20 @@ def is_lean(w: DiagramWord) -> bool:
 def lean_reduce(w: DiagramWord) -> DiagramWord:
     """Delete equal pairs reachable across commuting letters until lean.
 
-    The result represents the same group element; leftmost pair first,
-    innermost match for that endpoint, so the output is deterministic.
+    The result represents the same group element.  Letters are appended
+    one at a time, each cancelling the nearest equal letter it reaches
+    across commuting letters, so the lean word comes out already in its
+    canonical order: this is the normal form.
     """
     return DiagramWord(w.n, kernels.lean_reduce(w.letters))
 
 
 def lex_normal_form(w: DiagramWord) -> DiagramWord:
-    """Canonical representative: lean reduction, then the least word of
-    its commutation class.  Two words get equal normal forms iff they
+    """Canonical representative: the lean word that is least in its
+    commutation class.  Two words get equal normal forms iff they
     represent the same element.
     """
-    return DiagramWord(w.n, kernels.lex_least(kernels.lean_reduce(w.letters)))
+    return DiagramWord(w.n, kernels.lean_reduce(w.letters))
 
 
 def equal_diagrams(w1: DiagramWord, w2: DiagramWord) -> bool:

@@ -1,4 +1,5 @@
-"""Seeded word generators and relation-move helpers shared across test modules."""
+"""Seeded word generators, relation-move helpers and reference kernels
+shared across test modules."""
 
 from cactus_groups import _kernels_py
 from cactus_groups.diagram_group import is_lean
@@ -76,3 +77,60 @@ def relation_neighbors(letters, n):
         for x in range(1, 1 << n):
             out.append(letters[:i] + (x, x) + letters[i:])
     return out
+
+
+def _blocks(a, b):
+    c = a & b
+    return c != 0 and c != a and c != b
+
+
+def reference_is_lean(word):
+    """Scan right from each letter: a later equal letter reached across
+    commuting letters only is exactly a deletable (non-lean) pair."""
+    for i, a in enumerate(word):
+        for b in word[i + 1 :]:
+            if b == a:
+                return False
+            if _blocks(a, b):
+                break
+    return True
+
+
+def reference_lean_reduce(word):
+    """Greedy lean reduction: delete the leftmost deletable pair, innermost
+    match for that left endpoint, and rescan from the start until lean."""
+    letters = list(word)
+    changed = True
+    while changed:
+        changed = False
+        for i, a in enumerate(letters):
+            for j in range(i + 1, len(letters)):
+                if letters[j] == a:
+                    del letters[j], letters[i]
+                    changed = True
+                    break
+                if _blocks(a, letters[j]):
+                    break
+            if changed:
+                break
+    return tuple(letters)
+
+
+def reference_lex_least(word):
+    """Greedy extraction of the least word of a commutation class: a letter
+    can move to the front iff everything before it commutes with it, and
+    the least movable letter is always taken."""
+    remaining = list(word)
+    out = []
+    while remaining:
+        best = None
+        for j, b in enumerate(remaining):
+            movable = not any(_blocks(a, b) for a in remaining[:j])
+            if movable and (best is None or b < remaining[best]):
+                best = j
+        out.append(remaining.pop(best))
+    return tuple(out)
+
+
+def reference_canonical_if_lean(word):
+    return reference_lex_least(word) if reference_is_lean(word) else None

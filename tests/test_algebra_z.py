@@ -4,18 +4,15 @@ from cactus_groups import kernels
 from cactus_groups.algebra_f2 import f2_image
 from cactus_groups.algebra_z import (
     ZSeries,
-    generator_factor,
     homogeneous_component,
     tfn_separation,
-    z_add,
     z_image,
-    z_inverse,
-    z_multiply,
     z_one,
 )
 from cactus_groups.certificates import RING_Z
 from cactus_groups.words import DiagramWord, parse_diagram_word
 from helpers import random_even_lean_word, random_even_word, relation_neighbors
+from ring_reference import generator_factor, z_add, z_inverse, z_multiply
 
 A = 3  # t over strands {1,2}
 B = 5  # t over strands {1,3}

@@ -2,16 +2,20 @@ import json
 
 import pytest
 
-from cactus_groups.algebra_f2 import nilpotent_separation
+from cactus_groups import certificates, kernels
+from cactus_groups.algebra_f2 import f2_image, nilpotent_separation
+from cactus_groups.algebra_f2 import homogeneous_component as homogeneous_component_f2
 from cactus_groups.algebra_z import homogeneous_component, tfn_separation, z_image
 from cactus_groups.certificates import (
     RING_F2,
     RING_Z,
+    CertificateFormatError,
     DegreeCapReached,
     SeparationCertificate,
     verify_certificate,
 )
-from cactus_groups.words import parse_diagram_word
+from cactus_groups.words import format_diagram_word, parse_diagram_word
+from helpers import random_even_word, random_lean_word
 
 ALT = "t{1,2} t{1,3} t{1,2} t{1,3}"
 WORKED_DIAGRAM = "t{1,2} t{1,2,3} t{1,3} t{1,2,3} t{2,3} t{1,2,3}"
@@ -146,3 +150,79 @@ def test_from_dict_normalizes_masks():
     cert = SeparationCertificate.from_dict(data)
     assert cert.witness == (((3,), 1),)
     assert verify_certificate(cert)
+
+
+def test_verify_long_low_degree_certificate():
+    # 1201 letters with an odd count of t{1,2}: separated in degree 1.
+    text = "t{1,2} t{2,3} " * 600 + "t{1,2}"
+    cert = f2_cert(text)
+    assert cert.degree == 1
+    assert dict(cert.witness) == {(3,): 1}
+    assert verify_certificate(cert)
+    assert verify_certificate(SeparationCertificate.from_json(cert.to_json()))
+
+
+def test_expansions_match_the_images(rng):
+    # the subsequence walks and the append-based images share only the primitive
+    for _ in range(40):
+        n = rng.choice([3, 4])
+        w = random_lean_word(rng, n, rng.randrange(1, 7))
+        k = rng.randrange(1, len(w) + 1)
+        f2 = certificates._expand_f2(w.letters, k)
+        image = f2_image(w, k)
+        assert all(f2[d] == homogeneous_component_f2(image, d) for d in range(1, k + 1))
+        even = random_even_word(rng, n, rng.randrange(1, 4))
+        z = certificates._expand_z(kernels.lean_reduce(even.letters), k)
+        zimage = z_image(even, k)
+        assert all(z[d] == homogeneous_component(zimage, d) for d in range(1, k + 1))
+
+
+GOOD = {
+    "element": "t{1,2}",
+    "ring": RING_F2,
+    "degree": 1,
+    "witness": [{"monomial": [[1, 2]], "coeff": 1}],
+}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        [],
+        "t{1,2}",
+        {k: v for k, v in GOOD.items() if k != "witness"},
+        {k: v for k, v in GOOD.items() if k != "element"},
+        {**GOOD, "degree": "1"},
+        {**GOOD, "degree": True},
+        {**GOOD, "element": 12},
+        {**GOOD, "ring": None},
+        {**GOOD, "witness": {"monomial": [[1, 2]], "coeff": 1}},
+        {**GOOD, "witness": [[[1, 2]]]},
+        {**GOOD, "witness": [{"monomial": [[1, 2]]}]},
+        {**GOOD, "witness": [{"monomial": [[1, 2]], "coeff": 1.0}]},
+        {**GOOD, "witness": [{"monomial": [[]], "coeff": 1}]},
+        {**GOOD, "witness": [{"monomial": [[0, 2]], "coeff": 1}]},
+        {**GOOD, "witness": [{"monomial": [["1", 2]], "coeff": 1}]},
+        {**GOOD, "witness": [{"monomial": [3], "coeff": 1}]},
+        {**GOOD, "witness": [{"monomial": "t{1,2}", "coeff": 1}]},
+        {**GOOD, "witness": []},
+        {**GOOD, "ring": "unknown"},
+        {**GOOD, "degree": 0},
+        {**GOOD, "witness": [{"monomial": [[1, 2], [1, 3]], "coeff": 1}]},
+    ],
+)
+def test_from_dict_rejects_malformed_data(data):
+    with pytest.raises(CertificateFormatError):
+        SeparationCertificate.from_dict(data)
+
+
+@pytest.mark.parametrize("text", ["", "{", "null", "[1]", '{"element": "t{1,2}"}'])
+def test_from_json_rejects_malformed_text(text):
+    with pytest.raises(CertificateFormatError):
+        SeparationCertificate.from_json(text)
+
+
+def test_format_error_is_a_value_error():
+    assert issubclass(CertificateFormatError, ValueError)
+    assert SeparationCertificate.from_dict(GOOD).witness == (((3,), 1),)

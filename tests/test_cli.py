@@ -165,6 +165,33 @@ def test_make_generator_rejects_small_chord(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "chords, message",
+    [
+        ("t{1,2,3} t{1,2,3,4}", "error: token 2 ('t{1,2,3,4}'): expected exactly one chord token, got 2\n"),
+        ("", "error: token 1 (''): expected exactly one chord token, got 0\n"),
+    ],
+    ids=["two chords", "no chord"],
+)
+def test_make_generator_needs_exactly_one_chord(capsys, chords, message):
+    code, out, err = run(capsys, "make-generator", "--n", "4", chords)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize("ring", ["f2", "z"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_separate_rejects_degree_cap_below_one(capsys, ring, cap):
+    code, out, err = run(
+        capsys, "separate", "--n", "3", "--ring", ring, "--max-degree", cap,
+        "t{1,2} t{1,3} t{1,2} t{1,3}",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: max_degree must be at least 1, got {cap}\n"
+
+
 def test_nf_output_round_trips(capsys):
     text = "t{2,3} t{1,2,3} t{1,2,3} t{1,2} t{3,4}"
     code, out, _ = run(capsys, "nf", "--n", "4", text)

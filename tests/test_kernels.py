@@ -1,23 +1,39 @@
-"""Both kernel backends must implement identical word semantics."""
+"""The word kernels against brute force and the greedy references, and
+both breadth-first kernel backends against each other."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cactus_groups import _kernels_py, kernels
+from helpers import (
+    reference_canonical_if_lean,
+    reference_is_lean,
+    reference_lean_reduce,
+    reference_lex_least,
+)
 
 try:
     from cactus_groups import _kernels_cy
 except ImportError:
     _kernels_cy = None
 
-BACKENDS = [_kernels_py] + ([_kernels_cy] if _kernels_cy is not None else [])
+# The word kernels, all folds of append_slot, have one implementation.  The
+# breadth-first kernels also have a compiled twin, and their tests run
+# against every backend that is built.
+WORD_BACKENDS = [_kernels_py]
+BFS_BACKENDS = [_kernels_py] + ([_kernels_cy] if _kernels_cy is not None else [])
 both = pytest.mark.skipif(_kernels_cy is None, reason="compiled backend not built")
 
 ALPHA3 = tuple(range(1, 8))
 
 
-@pytest.fixture(params=BACKENDS, ids=lambda m: m.BACKEND)
+@pytest.fixture(params=WORD_BACKENDS, ids=lambda m: m.BACKEND)
+def word_kern(request):
+    return request.param
+
+
+@pytest.fixture(params=BFS_BACKENDS, ids=lambda m: m.BACKEND)
 def kern(request):
     return request.param
 
@@ -25,6 +41,8 @@ def kern(request):
 def test_selected_backend_is_exported():
     assert kernels.BACKEND in ("python", "cython")
     assert kernels.lean_reduce((3, 3)) == ()
+    assert kernels.lean_reduce is _kernels_py.lean_reduce
+    assert kernels.append_slot is _kernels_py.append_slot
 
 
 @pytest.mark.parametrize(
@@ -39,8 +57,8 @@ def test_selected_backend_is_exported():
         (1, 2, True),
     ],
 )
-def test_commutes(kern, a, b, expected):
-    assert kern.commutes(a, b) is expected
+def test_commutes(word_kern, a, b, expected):
+    assert word_kern.commutes(a, b) is expected
 
 
 @pytest.mark.parametrize(
@@ -56,8 +74,8 @@ def test_commutes(kern, a, b, expected):
         ((3, 5, 3, 5), True),
     ],
 )
-def test_is_lean(kern, word, expected):
-    assert kern.is_lean(word) is expected
+def test_is_lean(word_kern, word, expected):
+    assert word_kern.is_lean(word) is expected
 
 
 @pytest.mark.parametrize(
@@ -70,8 +88,8 @@ def test_is_lean(kern, word, expected):
         ((3, 5, 3, 5), (3, 5, 3, 5)),
     ],
 )
-def test_lean_reduce(kern, word, expected):
-    assert kern.lean_reduce(word) == expected
+def test_lean_reduce(word_kern, word, expected):
+    assert word_kern.lean_reduce(word) == expected
 
 
 @pytest.mark.parametrize(
@@ -85,22 +103,70 @@ def test_lean_reduce(kern, word, expected):
         ((3, 7, 5), (3, 5, 7)),
     ],
 )
-def test_lex_least(kern, word, expected):
-    assert kern.lex_least(word) == expected
+def test_lex_least(word_kern, word, expected):
+    assert word_kern.lex_least(word) == expected
 
 
-def test_canonical_if_lean(kern):
-    assert kern.canonical_if_lean((12, 3)) == (3, 12)
-    assert kern.canonical_if_lean((3, 7, 3)) is None
-    assert kern.canonical_if_lean(()) == ()
+def test_canonical_if_lean(word_kern):
+    assert word_kern.canonical_if_lean((12, 3)) == (3, 12)
+    assert word_kern.canonical_if_lean((3, 7, 3)) is None
+    assert word_kern.canonical_if_lean(()) == ()
 
 
-def test_lean_reduce_preserves_per_letter_parity(kern, rng):
+def test_lean_reduce_preserves_per_letter_parity(word_kern, rng):
     for _ in range(80):
         word = tuple(rng.randrange(1, 16) for _ in range(rng.randrange(0, 12)))
-        reduced = kern.lean_reduce(word)
+        reduced = word_kern.lean_reduce(word)
         for x in set(word):
             assert word.count(x) % 2 == reduced.count(x) % 2
+
+
+def test_append_slot(word_kern):
+    assert word_kern.append_slot((), 5) == 0
+    assert word_kern.append_slot((3, 12), 5) == 2  # 12 blocks 5: append at the end
+    assert word_kern.append_slot((3, 12), 4) == 1  # commutes with both, goes before 12
+    assert word_kern.append_slot((3, 12), 3) == ~0  # reaches the equal 3
+    assert word_kern.append_slot((3, 12), 3, cancel=False) == 1
+    assert word_kern.append_slot((5, 3), 5) == 2  # 3 blocks before the equal 5
+
+
+def test_folds_match_greedy_references(word_kern, rng):
+    for _ in range(300):
+        n = rng.randrange(1, 6)
+        word = tuple(rng.randrange(1, 1 << n) for _ in range(rng.randrange(0, 25)))
+        lean = reference_lean_reduce(word)
+        assert word_kern.lean_reduce(word) == reference_lex_least(lean)
+        assert word_kern.lex_least(word) == reference_lex_least(word)
+        assert word_kern.is_lean(word) is reference_is_lean(word)
+        assert word_kern.canonical_if_lean(word) == reference_canonical_if_lean(word)
+        assert word_kern.canonical_if_lean(lean) == word_kern.lean_reduce(word)
+
+
+words_strategy = st.lists(st.integers(1, 15), max_size=8).map(tuple)
+
+
+def least_of_class(word):
+    cls = kernels.swap_class(word, 10**5)
+    assume(cls is not None)
+    return min(cls)
+
+
+@given(words_strategy)
+def test_lean_reduce_is_least_of_the_lean_class(word):
+    assert _kernels_py.lean_reduce(word) == least_of_class(reference_lean_reduce(word))
+
+
+@given(words_strategy)
+def test_lex_least_is_least_of_the_class(word):
+    assert _kernels_py.lex_least(word) == least_of_class(word)
+
+
+@given(words_strategy, st.integers(1, 15))
+def test_append_slot_inserts_into_the_least_word(word, letter):
+    canonical = _kernels_py.lex_least(word)
+    slot = _kernels_py.append_slot(canonical, letter, cancel=False)
+    grown = canonical[:slot] + (letter,) + canonical[slot:]
+    assert grown == least_of_class(word + (letter,))
 
 
 def test_bfs_reach_examples(kern):
@@ -156,29 +222,8 @@ def test_compiled_backend_falls_back_on_wide_letters():
     if _kernels_cy is None:
         pytest.skip("compiled backend not built")
     big = 1 << 80
-    assert _kernels_cy.lean_reduce((big, big)) == ()
-    assert _kernels_cy.lex_least((big, 3)) == (3, big)
-    assert _kernels_cy.commutes(big, 3) is _kernels_py.commutes(big, 3)
     got = _kernels_cy.reachable_class((big,), (big, 3), 3, 10**6)
     assert got == _kernels_py.reachable_class((big,), (big, 3), 3, 10**6)
-
-
-words_strategy = st.lists(st.integers(1, 15), max_size=10).map(tuple)
-
-
-@both
-@given(words_strategy)
-def test_backends_agree_on_pure_functions(word):
-    assert _kernels_cy.is_lean(word) == _kernels_py.is_lean(word)
-    assert _kernels_cy.lean_reduce(word) == _kernels_py.lean_reduce(word)
-    assert _kernels_cy.lex_least(word) == _kernels_py.lex_least(word)
-    assert _kernels_cy.canonical_if_lean(word) == _kernels_py.canonical_if_lean(word)
-
-
-@both
-@given(st.integers(1, 15), st.integers(1, 15))
-def test_backends_agree_on_commutes(a, b):
-    assert _kernels_cy.commutes(a, b) == _kernels_py.commutes(a, b)
 
 
 @both
