@@ -16,9 +16,8 @@ backward scan decides both, so a word of L letters costs L scans instead
 of a restart after every deletion.
 
 The breadth-first kernels (`bfs_reach`, `reachable_class`, `swap_class`,
-`component_ids`) serve the test oracle.  `cactus_groups._kernels_cy` is a
-compiled twin of them; `cactus_groups.kernels` selects between the two and
-always takes the word kernels from here.
+`component_ids`) serve the test oracle.  `cactus_groups.kernels` re-exports
+every kernel from here.
 
 BFS functions return ``None`` instead of raising when a state cap is hit;
 callers turn that into their own error.
@@ -28,8 +27,6 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Iterable, Sequence
-
-BACKEND = "python"
 
 Word = tuple  # tuple[int, ...]
 

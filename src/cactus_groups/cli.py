@@ -2,12 +2,14 @@
 
 One verb per library capability.  Exit codes: 0 for success or a positive
 decision, 1 for a negative decision (false answers, failed separations),
-2 for usage or input errors.
+2 for usage or input errors, 3 for an internal error (a bug, never an
+answer).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -160,6 +162,7 @@ def _add_n(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, required=True, help="number of strands")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cactus",
@@ -250,6 +253,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 must only ever mean "false"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

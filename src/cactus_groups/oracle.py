@@ -7,8 +7,8 @@ word length).  Equality decided this way depends on no normal-form theory,
 so it can sit in judgement over the normal forms.
 
 Never called by the library operations; not a performance path, although
-the move loops are delegated to the selected kernel backend so exhaustive
-sweeps stay tractable.
+the move loops live in `cactus_groups.kernels` so exhaustive sweeps stay
+tractable.
 """
 
 from __future__ import annotations

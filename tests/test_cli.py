@@ -212,3 +212,37 @@ def test_main_entry_point_exits():
     with pytest.raises(SystemExit) as exc:
         cli.main()
     assert exc.value.code == 2
+
+
+def test_repeated_calls_give_identical_results(capsys):
+    # The parser is built once and shared by every call; no call may leave
+    # state behind that changes a later one.
+    sequence = [
+        ("perm", "--n", "3"),  # usage error: missing word
+        ("nf", "--n", "3", "t{1,2} t{1,2,3} t{1,3}"),
+        ("bogus",),
+        ("separate", "--n", "3", "--ring", "f2", "--max-degree", "1",
+         "t{1,2} t{1,3} t{1,2} t{1,3}"),
+        ("separate", "--n", "3", "--ring", "z", "t{1,2} t{1,3} t{1,2} t{1,3}"),
+        ("render", "--n", "4", "t{1,2,4}"),
+        ("separate", "--n", "3", "--ring", "f2", "t{1,2} t{1,3}"),
+        ("nf", "--n", "4", "t{3,4} t{1,2}"),
+    ]
+
+    def outcomes():
+        return [run(capsys, *argv)[:2] for argv in sequence]
+
+    first = outcomes()
+    assert [code for code, _ in first] == [2, 0, 2, 1, 0, 0, 0, 0]
+    assert outcomes() == first
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(word):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(cli, "lex_normal_form", broken)
+    code, out, err = run(capsys, "nf", "--n", "3", "t{1,2}")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: kernel fault\n"
