@@ -57,9 +57,9 @@ def append_slot(word: Sequence[int], letter: int, cancel: bool = True) -> int:
     >>> append_slot((3, 12), 3, cancel=False)
     1
     """
-    slot = len(word)
-    for j in range(len(word) - 1, -1, -1):
-        b = word[j]
+    slot = j = len(word)
+    for b in reversed(word):
+        j -= 1
         if b == letter:
             if cancel:
                 return ~j

@@ -132,14 +132,15 @@ def diagram_of(w: CactusWord) -> DiagramWord:
     >>> format_diagram_word(diagram_of(parse_cactus_word("s1,3 s1,2", 3)))
     't{1,2,3} t{2,3}'
     """
-    assign = list(range(1, w.n + 1))
+    # assign[i] is the bit of the label at position i; the bits are
+    # disjoint, so a chord is the sum of its segment.
+    assign = [1 << i for i in range(w.n)]
     chords = []
-    for g in w.letters:
-        mask = 0
-        for label in assign[g.p - 1 : g.q]:
-            mask |= 1 << (label - 1)
-        chords.append(mask)
-        assign[g.p - 1 : g.q] = assign[g.p - 1 : g.q][::-1]
+    for p, q in w.letters:
+        segment = assign[p - 1 : q]
+        chords.append(sum(segment))
+        segment.reverse()
+        assign[p - 1 : q] = segment
     return DiagramWord(w.n, tuple(chords))
 
 

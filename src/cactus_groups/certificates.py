@@ -19,7 +19,8 @@ JSON layout::
     {"element": "t{1,2} t{1,3} ...", "ring": "f2-nilpotent", "degree": 2,
      "witness": [{"monomial": [[1,2],[1,3]], "coeff": 1}, ...]}
 
-where a monomial is a list of chords, each an ascending strand list.
+where a monomial is a list of chords, each a strictly ascending strand
+list, and no monomial appears twice in a witness.
 """
 
 from __future__ import annotations
@@ -68,11 +69,13 @@ def _chord(members) -> int:
         not isinstance(members, list)
         or not members
         or not all(type(i) is int and i >= 1 for i in members)
+        or not all(a < b for a, b in zip(members, members[1:]))
     ):
         raise CertificateFormatError(
-            f"a chord must be a nonempty list of strands numbered from 1, got {members!r}"
+            "a chord must be a nonempty, strictly ascending list of strands "
+            f"numbered from 1, got {members!r}"
         )
-    return chord_mask(members, max(members))
+    return chord_mask(members, members[-1])
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,8 @@ class SeparationCertificate:
             raise ValueError("degree must be at least 1")
         if not self.witness:
             raise ValueError("witness must be nonempty")
+        if len({mono for mono, _ in self.witness}) != len(self.witness):
+            raise ValueError("witness lists a monomial more than once")
         for mono, coeff in self.witness:
             if len(mono) != self.degree:
                 raise ValueError("witness monomial length differs from degree")

@@ -22,7 +22,13 @@ from .cactus_core import (
     is_pure,
     word_permutation,
 )
-from .certificates import RING_F2, RING_Z, DegreeCapReached
+from .certificates import (
+    RING_F2,
+    RING_Z,
+    DegreeCapReached,
+    SeparationCertificate,
+    verify_certificate,
+)
 from .diagram_group import (
     construct_pure_generator,
     delta,
@@ -148,6 +154,11 @@ def _cmd_separate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_verify(args: argparse.Namespace) -> int:
+    text = sys.stdin.read() if args.certificate == "-" else args.certificate
+    return _decision(verify_certificate(SeparationCertificate.from_json(text)))
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
     tokens = args.word.split()
     if tokens and tokens[0].startswith("t"):
@@ -231,6 +242,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None, help="degree cap for the search")
     p.add_argument("word")
     p.set_defaults(func=_cmd_separate)
+
+    p = subs.add_parser("verify", help="re-check a separation certificate")
+    p.add_argument("certificate", help="certificate JSON, or - to read it from stdin")
+    p.set_defaults(func=_cmd_verify)
 
     p = subs.add_parser("render", help="ASCII picture of a cactus or diagram word")
     _add_n(p)

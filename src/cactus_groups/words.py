@@ -5,7 +5,14 @@ strands; diagram words are sequences of chords ``t{a,b,...}``, each chord a
 nonempty subset of strands stored as an int bitmask (bit ``1 << (i - 1)``
 for strand ``i``).  Both grammars are whitespace-separated token lists and
 an empty string denotes the identity; arity is always supplied separately,
-never inferred from the tokens.
+never inferred from the tokens, and is checked before any token is read.
+
+Each parser validates each distinct token once per call, at its first
+position, and reuses the result for every repeat.  A repeat can only be
+valid if its first occurrence was, so the first bad token and its position
+are the same as for a token-by-token scan.  The reuse is a local dict, not
+a module cache: spellings such as ``t{01,2}`` make the set of valid tokens
+unbounded.
 
 This module owns the types and the parsing/printing; `cactus_core` and
 `diagram_group` re-export them alongside the group operations.
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 class ParseError(ValueError):
@@ -28,6 +35,11 @@ class ParseError(ValueError):
         super().__init__(f"token {position} ({token!r}): {message}")
         self.token = token
         self.position = position
+
+
+def _check_arity(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"arity must be positive, got {n}")
 
 
 class CactusGenerator(NamedTuple):
@@ -49,8 +61,7 @@ class CactusWord:
     letters: tuple[CactusGenerator, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"arity must be positive, got {self.n}")
+        _check_arity(self.n)
         for g in self.letters:
             if not 1 <= g.p < g.q <= self.n:
                 raise ValueError(f"invalid generator s_{{{g.p},{g.q}}} for arity {self.n}")
@@ -100,8 +111,7 @@ class DiagramWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"arity must be positive, got {self.n}")
+        _check_arity(self.n)
         top = 1 << self.n
         for mask in self.letters:
             if not 0 < mask < top:
@@ -116,8 +126,35 @@ class DiagramWord:
         return len(self.letters)
 
 
+def _letters(text: str, n: int, letter: Callable[[str, int, int], Any]) -> tuple:
+    """The letters of ``text``, where ``letter(token, position, n)``
+    validates one token; each distinct token is validated once, at its
+    first position."""
+    _check_arity(n)
+    tokens = text.split()
+    seen = {}
+    for pos, token in enumerate(tokens, start=1):
+        if token not in seen:
+            seen[token] = letter(token, pos, n)
+    return tuple(map(seen.__getitem__, tokens))
+
+
 _CACTUS_TOKEN = re.compile(r"s(\d+),(\d+)\Z")
 _DIAGRAM_TOKEN = re.compile(r"t\{(\d+(?:,\d+)*)\}\Z")
+
+
+def _cactus_generator(token: str, pos: int, n: int) -> CactusGenerator:
+    m = _CACTUS_TOKEN.match(token)
+    if m is None:
+        raise ParseError("expected s<p>,<q>", token, pos)
+    p, q = int(m.group(1)), int(m.group(2))
+    if p < 1:
+        raise ParseError("p must be at least 1", token, pos)
+    if p >= q:
+        raise ParseError("p must be less than q", token, pos)
+    if q > n:
+        raise ParseError(f"q exceeds arity {n}", token, pos)
+    return CactusGenerator(p, q)
 
 
 def parse_cactus_word(text: str, n: int) -> CactusWord:
@@ -128,25 +165,26 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
     >>> len(parse_cactus_word("", 5))
     0
     """
-    letters = []
-    for pos, token in enumerate(text.split(), start=1):
-        m = _CACTUS_TOKEN.match(token)
-        if m is None:
-            raise ParseError("expected s<p>,<q>", token, pos)
-        p, q = int(m.group(1)), int(m.group(2))
-        if p < 1:
-            raise ParseError("p must be at least 1", token, pos)
-        if p >= q:
-            raise ParseError("p must be less than q", token, pos)
-        if q > n:
-            raise ParseError(f"q exceeds arity {n}", token, pos)
-        letters.append(CactusGenerator(p, q))
-    return CactusWord(n, tuple(letters))
+    return CactusWord(n, _letters(text, n, _cactus_generator))
 
 
 def format_cactus_word(w: CactusWord) -> str:
     """Inverse of `parse_cactus_word`; identity prints as the empty string."""
     return " ".join(f"s{g.p},{g.q}" for g in w.letters)
+
+
+def _chord(token: str, pos: int, n: int) -> int:
+    m = _DIAGRAM_TOKEN.match(token)
+    if m is None:
+        raise ParseError("expected t{a,b,...}", token, pos)
+    members = [int(s) for s in m.group(1).split(",")]
+    if any(a >= b for a, b in zip(members, members[1:])):
+        raise ParseError("members must be strictly ascending", token, pos)
+    if members[0] < 1:
+        raise ParseError("strands are numbered from 1", token, pos)
+    if members[-1] > n:
+        raise ParseError(f"strand exceeds arity {n}", token, pos)
+    return chord_mask(members, n)
 
 
 def parse_diagram_word(text: str, n: int) -> DiagramWord:
@@ -155,20 +193,7 @@ def parse_diagram_word(text: str, n: int) -> DiagramWord:
     >>> parse_diagram_word("t{1,2} t{1,2,3}", 3).letters == (0b011, 0b111)
     True
     """
-    letters = []
-    for pos, token in enumerate(text.split(), start=1):
-        m = _DIAGRAM_TOKEN.match(token)
-        if m is None:
-            raise ParseError("expected t{a,b,...}", token, pos)
-        members = [int(s) for s in m.group(1).split(",")]
-        if any(a >= b for a, b in zip(members, members[1:])):
-            raise ParseError("members must be strictly ascending", token, pos)
-        if members[0] < 1:
-            raise ParseError("strands are numbered from 1", token, pos)
-        if members[-1] > n:
-            raise ParseError(f"strand exceeds arity {n}", token, pos)
-        letters.append(chord_mask(members, n))
-    return DiagramWord(n, tuple(letters))
+    return DiagramWord(n, _letters(text, n, _chord))
 
 
 def format_chord(mask: int) -> str:

@@ -1,9 +1,11 @@
 """Seeded word generators, relation-move helpers and reference kernels
 shared across test modules."""
 
+import re
+
 from cactus_groups import _kernels_py
 from cactus_groups.diagram_group import is_lean
-from cactus_groups.words import CactusGenerator, CactusWord, DiagramWord
+from cactus_groups.words import CactusGenerator, CactusWord, DiagramWord, ParseError
 
 
 def all_generators(n):
@@ -134,3 +136,69 @@ def reference_lex_least(word):
 
 def reference_canonical_if_lean(word):
     return reference_lex_least(word) if reference_is_lean(word) else None
+
+
+def reference_append_slot(word, letter, cancel=True):
+    """Index-based backward scan: where `letter` goes when appended to the
+    canonical word `word`, or ~j when it cancels the equal letter at j."""
+    slot = len(word)
+    for j in range(len(word) - 1, -1, -1):
+        b = word[j]
+        if b == letter:
+            if cancel:
+                return ~j
+            continue
+        if _blocks(b, letter):
+            break
+        if b > letter:
+            slot = j
+    return slot
+
+
+def reference_diagram_of(w):
+    """Chord diagram of a cactus word, tracking the label list itself."""
+    assign = list(range(1, w.n + 1))
+    chords = []
+    for g in w.letters:
+        mask = 0
+        for label in assign[g.p - 1 : g.q]:
+            mask |= 1 << (label - 1)
+        chords.append(mask)
+        assign[g.p - 1 : g.q] = assign[g.p - 1 : g.q][::-1]
+    return DiagramWord(w.n, tuple(chords))
+
+
+def reference_parse_cactus_word(text, n):
+    """Token-by-token parser: every token is validated where it stands."""
+    letters = []
+    for pos, token in enumerate(text.split(), start=1):
+        m = re.fullmatch(r"s(\d+),(\d+)", token)
+        if m is None:
+            raise ParseError("expected s<p>,<q>", token, pos)
+        p, q = int(m.group(1)), int(m.group(2))
+        if p < 1:
+            raise ParseError("p must be at least 1", token, pos)
+        if p >= q:
+            raise ParseError("p must be less than q", token, pos)
+        if q > n:
+            raise ParseError(f"q exceeds arity {n}", token, pos)
+        letters.append(CactusGenerator(p, q))
+    return CactusWord(n, tuple(letters))
+
+
+def reference_parse_diagram_word(text, n):
+    """Token-by-token parser: every token is validated where it stands."""
+    letters = []
+    for pos, token in enumerate(text.split(), start=1):
+        m = re.fullmatch(r"t\{(\d+(?:,\d+)*)\}", token)
+        if m is None:
+            raise ParseError("expected t{a,b,...}", token, pos)
+        members = [int(s) for s in m.group(1).split(",")]
+        if any(a >= b for a, b in zip(members, members[1:])):
+            raise ParseError("members must be strictly ascending", token, pos)
+        if members[0] < 1:
+            raise ParseError("strands are numbered from 1", token, pos)
+        if members[-1] > n:
+            raise ParseError(f"strand exceeds arity {n}", token, pos)
+        letters.append(sum(1 << (i - 1) for i in members))
+    return DiagramWord(n, tuple(letters))

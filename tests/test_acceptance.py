@@ -275,6 +275,8 @@ def test_criterion_10_certificate_reverification(report):
             assert payload["ring"].startswith(ring[0])
             cert = SeparationCertificate.from_json(out.getvalue())
             assert verify_certificate(cert)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(["verify", out.getvalue()]) == 0
 
         checked = 0
         while checked < 500:

@@ -19,7 +19,7 @@ from cactus_groups.words import (
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import all_generators, random_cactus_word
+from helpers import all_generators, random_cactus_word, reference_diagram_of
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 
@@ -97,6 +97,12 @@ def test_diagram_chords_are_label_sets_of_reversed_intervals():
     # identity assignment
     w = parse_cactus_word("s2,4", 5)
     assert diagram_of(w).letters == (chord_mask([2, 3, 4], 5),)
+
+
+def test_diagram_of_matches_the_label_list(rng):
+    for _ in range(200):
+        w = random_cactus_word(rng, rng.randrange(2, 10), rng.randrange(0, 40))
+        assert diagram_of(w) == reference_diagram_of(w)
 
 
 def test_diagram_cocycle(rng):

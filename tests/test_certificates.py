@@ -210,10 +210,31 @@ GOOD = {
         {**GOOD, "ring": "unknown"},
         {**GOOD, "degree": 0},
         {**GOOD, "witness": [{"monomial": [[1, 2], [1, 3]], "coeff": 1}]},
+        {**GOOD, "witness": [{"monomial": [[2, 1]], "coeff": 1}]},
+        {**GOOD, "witness": [{"monomial": [[1, 2, 1]], "coeff": 1}]},
+        {**GOOD, "witness": [{"monomial": [[1, 1]], "coeff": 1}]},
+        {**GOOD, "witness": [{"monomial": [[1, 2]], "coeff": 1}] * 2},
     ],
 )
 def test_from_dict_rejects_malformed_data(data):
     with pytest.raises(CertificateFormatError):
+        SeparationCertificate.from_dict(data)
+
+
+@pytest.mark.parametrize("separate", [nilpotent_separation, tfn_separation], ids=["f2", "z"])
+def test_from_dict_rejects_a_repeated_monomial(separate):
+    data = separate(dw(ALT)).to_dict()
+    data["witness"].append(dict(data["witness"][0]))
+    with pytest.raises(CertificateFormatError, match="more than once"):
+        SeparationCertificate.from_dict(data)
+
+
+@pytest.mark.parametrize("separate", [nilpotent_separation, tfn_separation], ids=["f2", "z"])
+@pytest.mark.parametrize("strands", [[2, 1], [1, 2, 1]])
+def test_from_dict_rejects_unordered_strands(separate, strands):
+    data = separate(dw(ALT)).to_dict()
+    data["witness"][0]["monomial"][0] = strands
+    with pytest.raises(CertificateFormatError, match="strictly ascending"):
         SeparationCertificate.from_dict(data)
 
 

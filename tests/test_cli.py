@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from cactus_groups.diagram_group import lex_normal_form
 from cactus_groups.words import parse_cactus_word, parse_diagram_word
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
+ALT = "t{1,2} t{1,3} t{1,2} t{1,3}"
 
 
 def run(capsys, *argv):
@@ -80,6 +82,43 @@ def test_separate_z(capsys):
     assert data["ring"] == "z-torsion-free"
     assert {"coeff": -1, "monomial": [[1, 3], [1, 2]]} in data["witness"]
     assert verify_certificate(SeparationCertificate.from_json(out))
+
+
+@pytest.mark.parametrize("ring", ["f2", "z"])
+def test_verify_reads_separate_output_from_stdin(capsys, monkeypatch, ring):
+    code, cert, _ = run(capsys, "separate", "--n", "3", "--ring", ring, ALT)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(cert))
+    assert run(capsys, "verify", "-") == (0, "true\n", "")
+
+
+@pytest.mark.parametrize("ring", ["f2", "z"])
+def test_verify_rejects_a_tampered_witness(capsys, ring):
+    _, cert, _ = run(capsys, "separate", "--n", "3", "--ring", ring, ALT)
+    data = json.loads(cert)
+    data["witness"].pop()
+    assert run(capsys, "verify", json.dumps(data)) == (1, "false\n", "")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "{", "[1]", '{"element": "t{1,2}"}',
+     '{"element": "t{1,2}", "ring": "f2-nilpotent", "degree": 1, '
+     '"witness": [{"monomial": [[2, 1]], "coeff": 1}]}'],
+)
+def test_verify_rejects_malformed_certificates(capsys, text):
+    code, out, err = run(capsys, "verify", text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [("nf", "--n", "-3", "t{1}"), ("perm", "--n", "0", "s9,1")])
+def test_nonpositive_arity_is_reported_before_tokens(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: arity must be positive, got {argv[2]}\n"
 
 
 def test_separate_trivial_element(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cactus_groups import KERNEL_BACKEND, _kernels_py, kernels
 from helpers import (
+    reference_append_slot,
     reference_canonical_if_lean,
     reference_is_lean,
     reference_lean_reduce,
@@ -152,6 +153,14 @@ def test_append_slot_inserts_into_the_least_word(word, letter):
     slot = _kernels_py.append_slot(canonical, letter, cancel=False)
     grown = canonical[:slot] + (letter,) + canonical[slot:]
     assert grown == least_of_class(word + (letter,))
+
+
+@given(st.lists(st.integers(1, 31), max_size=30), st.integers(1, 31), st.booleans())
+def test_append_slot_matches_the_indexed_scan(word, letter, cancel):
+    # on both kinds of canonical word: least of a class, and lean and least
+    for canonical in (reference_lex_least(word), reference_lex_least(reference_lean_reduce(word))):
+        expected = reference_append_slot(canonical, letter, cancel)
+        assert _kernels_py.append_slot(canonical, letter, cancel) == expected
 
 
 def test_bfs_reach_examples(kern):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cactus_groups.words import (
     CactusGenerator,
@@ -13,7 +15,12 @@ from cactus_groups.words import (
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import random_cactus_word, random_diagram_word
+from helpers import (
+    random_cactus_word,
+    random_diagram_word,
+    reference_parse_cactus_word,
+    reference_parse_diagram_word,
+)
 
 
 def test_parse_cactus_word_basic():
@@ -70,6 +77,64 @@ def test_parse_errors_carry_token_and_position(text, n, parse, fragment, token, 
     assert f"token {position}" in str(exc.value)
     assert exc.value.token == token
     assert exc.value.position == position
+
+
+@pytest.mark.parametrize("parse, text", [(parse_cactus_word, "s9,1"), (parse_diagram_word, "t{9}")])
+@pytest.mark.parametrize("n", [0, -3])
+def test_arity_is_checked_before_any_token(parse, text, n):
+    with pytest.raises(ValueError) as exc:
+        parse(text, n)
+    assert not isinstance(exc.value, ParseError)
+    assert str(exc.value) == f"arity must be positive, got {n}"
+
+
+# Pools with repeats, two spellings of one letter, and malformed tokens.
+DIAGRAM_TOKENS = [
+    "t{1}", "t{2}", "t{1,2}", "t{01,2}", "t{1,02}", "t{2,3}", "t{1,2,3}", "t{3,4}",
+    "t{2,1}", "t{1,1}", "t{0}", "t{}", "t{1,9}", "u{1}", "t{1,2",
+]
+CACTUS_TOKENS = [
+    "s1,2", "s01,2", "s1,02", "s1,3", "s2,3", "s3,4",
+    "s2,1", "s1,1", "s0,2", "s1,9", "x1,2", "s1,2s1,3",
+]
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\n"])
+
+
+def parse_outcome(parse, text, n):
+    try:
+        return parse(text, n)
+    except ParseError as exc:
+        return str(exc), exc.token, exc.position
+
+
+def spaced(tokens, seps):
+    return "".join(t + sep for t, sep in zip(tokens, seps))
+
+
+@given(
+    st.lists(st.sampled_from(DIAGRAM_TOKENS), max_size=20),
+    st.lists(SEPARATORS, min_size=20, max_size=20),
+    st.integers(1, 5),
+)
+@example(["t{01,2}", "t{1,2}", "t{01,2}"], [" "] * 20, 3)
+@example(["t{1,2}", "t{2,3}", "t{1,2}", "t{2,1}", "t{1,2}", "t{2,1}"], [" "] * 20, 3)
+def test_parse_diagram_word_matches_token_by_token(tokens, seps, n):
+    text = spaced(tokens, seps)
+    expected = parse_outcome(reference_parse_diagram_word, text, n)
+    assert parse_outcome(parse_diagram_word, text, n) == expected
+
+
+@given(
+    st.lists(st.sampled_from(CACTUS_TOKENS), max_size=20),
+    st.lists(SEPARATORS, min_size=20, max_size=20),
+    st.integers(1, 5),
+)
+@example(["s01,2", "s1,2", "s1,02"], [" "] * 20, 3)
+@example(["s1,2", "s2,3", "s1,2", "s0,2", "s2,3", "s0,2"], [" "] * 20, 3)
+def test_parse_cactus_word_matches_token_by_token(tokens, seps, n):
+    text = spaced(tokens, seps)
+    expected = parse_outcome(reference_parse_cactus_word, text, n)
+    assert parse_outcome(parse_cactus_word, text, n) == expected
 
 
 def test_parse_error_is_value_error():
