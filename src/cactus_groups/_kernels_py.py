@@ -13,7 +13,11 @@ sorting, that canonical product is the old word with the letter inserted;
 by the Crisp-Godelle-Wiest stack reduction for right-angled groups, an
 equal letter the new one reaches across commuting letters cancels it.  One
 backward scan decides both, so a word of L letters costs L scans instead
-of a restart after every deletion.
+of a restart after every deletion.  `lean_reduce` scans less: a central
+letter (a singleton chord, or the union of the word's letters) commutes
+with everything and never meets a barrier, so its scan would cross the
+whole word.  It keeps only the parity of each central letter and appends
+the odd ones last.
 
 The breadth-first kernels (`bfs_reach`, `reachable_class`, `swap_class`,
 `component_ids`) serve the test oracle.  `cactus_groups.kernels` re-exports
@@ -79,14 +83,35 @@ def lean_reduce(word: Sequence[int]) -> Word:
     Appends the letters one at a time; a letter that reaches an equal one
     across commuting letters deletes it.  Any deletion order yields the same
     element, and the fold keeps the prefix canonical throughout.
+
+    Central letters are held back: a singleton chord, or ``top``, the union
+    of every letter of the word, commutes with every letter, so it can move
+    to the end and two copies of it cancel.  Only their parity is kept, and
+    the odd ones are appended last in ascending order, one scan each,
+    instead of one scan per occurrence.
+
+    >>> lean_reduce((4, 3, 7, 5, 1, 4, 7, 1, 1))
+    (1, 3, 5)
     """
+    top = 0
+    for a in word:
+        top |= a
+    odd: set[int] = set()
     out: list[int] = []
     for a in word:
+        if a & (a - 1) == 0 or a == top:
+            if a in odd:
+                odd.remove(a)
+            else:
+                odd.add(a)
+            continue
         slot = append_slot(out, a)
         if slot < 0:
             del out[~slot]
         else:
             out.insert(slot, a)
+    for a in sorted(odd):
+        out.insert(append_slot(out, a), a)
     return tuple(out)
 
 

@@ -29,6 +29,8 @@ equality test g == h  iff  g h^{-1} is trivial.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from . import kernels
 from .words import (
     CactusGenerator,
@@ -133,8 +135,9 @@ def diagram_of(w: CactusWord) -> DiagramWord:
     't{1,2,3} t{2,3}'
     """
     # assign[i] is the bit of the label at position i; the bits are
-    # disjoint, so a chord is the sum of its segment.
-    assign = [1 << i for i in range(w.n)]
+    # disjoint, so a chord is the sum of its segment.  Positions past the
+    # largest q never move, so they get no entry.
+    assign = [1 << i for i in range(max(map(itemgetter(1), w.letters), default=0))]
     chords = []
     for p, q in w.letters:
         segment = assign[p - 1 : q]

@@ -71,12 +71,14 @@ def is_lean(w: DiagramWord) -> bool:
 
 
 def lean_reduce(w: DiagramWord) -> DiagramWord:
-    """Delete equal pairs reachable across commuting letters until lean.
+    """The lean word of the element, in its canonical order: the same
+    normal form that `lex_normal_form` returns.
 
-    The result represents the same group element.  Letters are appended
-    one at a time, each cancelling the nearest equal letter it reaches
-    across commuting letters, so the lean word comes out already in its
-    canonical order: this is the normal form.
+    Letters are appended one at a time, each cancelling the nearest equal
+    letter it reaches across commuting letters, so no equal pair is left
+    that commutations could bring together.  Central chords (singletons
+    and the union of the word's letters) are counted by parity and the odd
+    ones appended last.
     """
     return DiagramWord(w.n, kernels.lean_reduce(w.letters))
 

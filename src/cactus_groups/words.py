@@ -111,11 +111,13 @@ class DiagramWord:
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        _check_arity(self.n)
-        top = 1 << self.n
+        n = self.n
+        _check_arity(n)
+        # ``mask >> n`` instead of ``mask < 1 << n``, which would build an
+        # n-bit integer
         for mask in self.letters:
-            if not 0 < mask < top:
-                raise ValueError(f"chord {mask:#b} out of range for arity {self.n}")
+            if mask <= 0 or mask >> n:
+                raise ValueError(f"chord {mask:#b} out of range for arity {n}")
 
     def __mul__(self, other: "DiagramWord") -> "DiagramWord":
         if self.n != other.n:

@@ -2,6 +2,7 @@
 shared across test modules."""
 
 import re
+import tracemalloc
 
 from cactus_groups import _kernels_py
 from cactus_groups.diagram_group import is_lean
@@ -153,6 +154,22 @@ def reference_append_slot(word, letter, cancel=True):
         if b > letter:
             slot = j
     return slot
+
+
+def peak_bytes(call):
+    """Peak memory, in bytes, that ``call()`` allocates beyond what was
+    allocated when it started, as tracemalloc sees it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def reference_diagram_of(w):

@@ -19,7 +19,7 @@ from cactus_groups.words import (
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import all_generators, random_cactus_word, reference_diagram_of
+from helpers import all_generators, peak_bytes, random_cactus_word, reference_diagram_of
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 
@@ -103,6 +103,13 @@ def test_diagram_of_matches_the_label_list(rng):
     for _ in range(200):
         w = random_cactus_word(rng, rng.randrange(2, 10), rng.randrange(0, 40))
         assert diagram_of(w) == reference_diagram_of(w)
+
+
+def test_diagram_of_tracks_labels_only_up_to_the_largest_q():
+    # positions past the largest q never move, so a short word at a large
+    # arity costs no label mask per strand
+    assert diagram_of(parse_cactus_word("s1,2", 20000)).letters == (3,)
+    assert peak_bytes(lambda: diagram_of(parse_cactus_word("s1,2", 20000))) < 1 << 20
 
 
 def test_diagram_cocycle(rng):

@@ -72,10 +72,20 @@ def test_is_lean(kern, word, expected):
         ((3, 7, 7, 3), ()),
         ((3, 7, 5, 7, 6, 7), (3, 5, 6, 7)),
         ((3, 5, 3, 5), (3, 5, 3, 5)),
+        # central letters: singletons, and the union of the word's letters
+        ((1,), (1,)),  # arity 1: the one chord is central
+        ((1, 1, 1, 1, 1), (1,)),
+        ((4, 1, 4, 1, 4, 1), (1, 4)),
+        ((7, 1, 7, 7, 2, 4, 4), (1, 2, 7)),  # odd counts survive, sorted
+        ((7, 7, 2, 2, 4, 4), ()),  # even counts cancel
+        ((3, 5, 1), (1, 3, 5)),  # an odd singleton goes before larger letters
+        ((3, 5, 7, 4), (3, 4, 5, 7)),  # the union chord 7 goes last
+        ((6, 22, 20, 2, 22), (2, 6, 20)),  # union 22 = {2,3,5} at n = 6 cancels
+        ((6, 20, 22, 16), (6, 16, 20, 22)),  # and an odd one is kept
     ],
 )
 def test_lean_reduce(kern, word, expected):
-    assert kern.lean_reduce(word) == expected
+    assert kern.lean_reduce(word) == expected == reference_lex_least(reference_lean_reduce(word))
 
 
 @pytest.mark.parametrize(
@@ -116,10 +126,37 @@ def test_append_slot(kern):
     assert kern.append_slot((5, 3), 5) == 2  # 3 blocks before the equal 5
 
 
+# Strands {2, 3, 5} at n = 6: the union of letters inside them is central in
+# the word without being the full chord.
+UNION_235 = 0b10110
+
+
+def submasks(mask):
+    return [a for a in range(1, mask + 1) if a & mask == a]
+
+
+def central_chords(mask):
+    """The singletons inside ``mask``, and ``mask`` itself."""
+    return [a for a in submasks(mask) if a & (a - 1) == 0] + [mask]
+
+
+def random_word(rng, length):
+    """Letters on n <= 5 strands, drawn uniformly or 60% from the central
+    chords, or the submasks of UNION_235."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        return tuple(rng.choice(submasks(UNION_235)) for _ in range(length))
+    full = (1 << rng.randrange(1, 6)) - 1
+    central = central_chords(full)
+    return tuple(
+        rng.choice(central) if kind and rng.random() < 0.6 else rng.randrange(1, full + 1)
+        for _ in range(length)
+    )
+
+
 def test_folds_match_greedy_references(kern, rng):
-    for _ in range(300):
-        n = rng.randrange(1, 6)
-        word = tuple(rng.randrange(1, 1 << n) for _ in range(rng.randrange(0, 25)))
+    for _ in range(450):
+        word = random_word(rng, rng.randrange(0, 25))
         lean = reference_lean_reduce(word)
         assert kern.lean_reduce(word) == reference_lex_least(lean)
         assert kern.lex_least(word) == reference_lex_least(word)
@@ -161,6 +198,24 @@ def test_append_slot_matches_the_indexed_scan(word, letter, cancel):
     for canonical in (reference_lex_least(word), reference_lex_least(reference_lean_reduce(word))):
         expected = reference_append_slot(canonical, letter, cancel)
         assert _kernels_py.append_slot(canonical, letter, cancel) == expected
+
+
+@st.composite
+def central_heavy_words(draw):
+    """Words half of whose letters are central chords, on n <= 5 strands or
+    inside UNION_235.  In some the union chord itself never occurs, so the
+    largest letter is not central."""
+    span = draw(st.sampled_from([1, 3, 7, 15, 31, UNION_235]))
+    alphabet, central = submasks(span), central_chords(span)
+    if span & (span - 1) and draw(st.booleans()):
+        alphabet, central = alphabet[:-1], central[:-1]
+    letter = st.one_of(st.sampled_from(central), st.sampled_from(alphabet))
+    return tuple(draw(st.lists(letter, max_size=30)))
+
+
+@given(central_heavy_words())
+def test_lean_reduce_folds_central_chords_last(word):
+    assert _kernels_py.lean_reduce(word) == reference_lex_least(reference_lean_reduce(word))
 
 
 def test_bfs_reach_examples(kern):

@@ -16,6 +16,7 @@ from cactus_groups.words import (
     parse_diagram_word,
 )
 from helpers import (
+    peak_bytes,
     random_cactus_word,
     random_diagram_word,
     reference_parse_cactus_word,
@@ -192,6 +193,14 @@ def test_word_validation():
         DiagramWord(3, (8,))
     with pytest.raises(ValueError):
         DiagramWord(3, (0,))
+    with pytest.raises(ValueError):
+        DiagramWord(3, (-1,))
+    assert DiagramWord(3, (7,)).letters == (7,)
+
+
+def test_chord_range_check_does_not_grow_with_the_arity():
+    # the check shifts each chord instead of building 1 << n
+    assert peak_bytes(lambda: DiagramWord(10**7, (1,))) < 1 << 20
 
 
 def test_word_concatenation():
