@@ -19,18 +19,12 @@ with everything and never meets a barrier, so its scan would cross the
 whole word.  It keeps only the parity of each central letter and appends
 the odd ones last.
 
-The breadth-first kernels (`bfs_reach`, `reachable_class`, `swap_class`,
-`component_ids`) serve the test oracle.  `cactus_groups.kernels` re-exports
-every kernel from here.
-
-BFS functions return ``None`` instead of raising when a state cap is hit;
-callers turn that into their own error.
+`cactus_groups.kernels` re-exports every kernel from here.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Word = tuple  # tuple[int, ...]
 
@@ -141,137 +135,3 @@ def is_lean(word: Sequence[int]) -> bool:
     """True iff no equal pair of letters can be made adjacent by commutations."""
     return canonical_if_lean(word) is not None
 
-
-def _neighbors(w: Word, letters: Sequence[int], max_len: int) -> list[Word]:
-    n = len(w)
-    out = []
-    for i in range(n - 1):
-        a = w[i]
-        b = w[i + 1]
-        if a == b:
-            out.append(w[:i] + w[i + 2 :])
-        else:
-            c = a & b
-            if c == 0 or c == a or c == b:
-                out.append(w[:i] + (b, a) + w[i + 2 :])
-    if n + 2 <= max_len:
-        for i in range(n + 1):
-            head = w[:i]
-            tail = w[i:]
-            for let in letters:
-                out.append(head + (let, let) + tail)
-    return out
-
-
-def bfs_reach(
-    start: Word,
-    targets: Iterable[Word],
-    letters: Sequence[int],
-    max_len: int,
-    state_cap: int,
-) -> list[bool] | None:
-    """Which of ``targets`` are reachable from ``start`` by relation moves.
-
-    Moves: swap adjacent commuting letters, delete an adjacent equal pair,
-    insert an adjacent equal pair (any letter), never exceeding ``max_len``
-    letters.  Returns one bool per target, or None once more than
-    ``state_cap`` states have been visited.
-    """
-    targets = list(targets)
-    want = {}
-    for idx, t in enumerate(targets):
-        want.setdefault(t, []).append(idx)
-    found = [False] * len(targets)
-    missing = len(want)
-
-    visited = {start}
-    queue = deque([start])
-    if start in want:
-        for idx in want[start]:
-            found[idx] = True
-        missing -= 1
-    while queue and missing:
-        w = queue.popleft()
-        for nb in _neighbors(w, letters, max_len):
-            if nb in visited:
-                continue
-            visited.add(nb)
-            if len(visited) > state_cap:
-                return None
-            if nb in want:
-                hits = want.pop(nb)
-                for idx in hits:
-                    found[idx] = True
-                missing -= 1
-            queue.append(nb)
-    return found
-
-
-def reachable_class(
-    start: Word, letters: Sequence[int], max_len: int, state_cap: int
-) -> set[Word] | None:
-    """All words reachable from ``start`` by relation moves, length-bounded."""
-    visited = {start}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for nb in _neighbors(w, letters, max_len):
-            if nb not in visited:
-                visited.add(nb)
-                if len(visited) > state_cap:
-                    return None
-                queue.append(nb)
-    return visited
-
-
-def swap_class(start: Word, state_cap: int) -> set[Word] | None:
-    """The commutation class of ``start``: adjacent commuting swaps only."""
-    visited = {start}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for i in range(len(w) - 1):
-            a = w[i]
-            b = w[i + 1]
-            if a == b:
-                continue
-            c = a & b
-            if c == 0 or c == a or c == b:
-                nb = w[:i] + (b, a) + w[i + 2 :]
-                if nb not in visited:
-                    visited.add(nb)
-                    if len(visited) > state_cap:
-                        return None
-                    queue.append(nb)
-    return visited
-
-
-def component_ids(
-    words: Sequence[Word], letters: Sequence[int], max_len: int, state_cap: int
-) -> list[int] | None:
-    """Connected-component labels of ``words`` under the relation moves.
-
-    One flood fill per previously unseen word, sharing the visited map, so
-    labelling N words costs one bounded BFS per distinct component rather
-    than one per word.  ``state_cap`` bounds the total states across all
-    floods.  Two words get equal labels iff each is reachable from the
-    other within the ``max_len`` bound.
-    """
-    visited: dict[Word, int] = {}
-    next_id = 0
-    for w in words:
-        if w in visited:
-            continue
-        comp = next_id
-        next_id += 1
-        visited[w] = comp
-        queue = deque([w])
-        while queue:
-            v = queue.popleft()
-            for nb in _neighbors(v, letters, max_len):
-                if nb not in visited:
-                    visited[nb] = comp
-                    if len(visited) > state_cap:
-                        return None
-                    queue.append(nb)
-    return [visited[w] for w in words]

@@ -70,9 +70,10 @@ def is_lean(w: DiagramWord) -> bool:
     return kernels.is_lean(w.letters)
 
 
-def lean_reduce(w: DiagramWord) -> DiagramWord:
-    """The lean word of the element, in its canonical order: the same
-    normal form that `lex_normal_form` returns.
+def lex_normal_form(w: DiagramWord) -> DiagramWord:
+    """Canonical representative: the lean word of the element, least in its
+    commutation class.  Two words get equal normal forms iff they represent
+    the same element; `lean_reduce` is another name for this function.
 
     Letters are appended one at a time, each cancelling the nearest equal
     letter it reaches across commuting letters, so no equal pair is left
@@ -83,12 +84,9 @@ def lean_reduce(w: DiagramWord) -> DiagramWord:
     return DiagramWord(w.n, kernels.lean_reduce(w.letters))
 
 
-def lex_normal_form(w: DiagramWord) -> DiagramWord:
-    """Canonical representative: the lean word that is least in its
-    commutation class.  Two words get equal normal forms iff they
-    represent the same element.
-    """
-    return DiagramWord(w.n, kernels.lean_reduce(w.letters))
+# Bound after the definition, so that the function's first name is
+# `lex_normal_form` wherever names are read in module order.
+lean_reduce = lex_normal_form
 
 
 def equal_diagrams(w1: DiagramWord, w2: DiagramWord) -> bool:

@@ -1,22 +1,17 @@
 """The kernels every layer calls: a re-export of `_kernels_py`.
 
-The word kernels are all folds of `append_slot`; the breadth-first kernels
-serve the test oracle.  ``BACKEND`` names the implementation, which is
-always pure Python.
+The word kernels are all folds of `append_slot`.  ``BACKEND`` names the
+implementation, which is always pure Python.
 """
 
 from . import _kernels_py as _impl  # the defining module, read by perfbench/tracer.py
 from ._kernels_py import (
     append_slot,
-    bfs_reach,
     canonical_if_lean,
     commutes,
-    component_ids,
     is_lean,
     lean_reduce,
     lex_least,
-    reachable_class,
-    swap_class,
 )
 
 BACKEND = "python"

@@ -1,5 +1,4 @@
-"""Seeded word generators, relation-move helpers and reference kernels
-shared across test modules."""
+"""Seeded word generators and reference kernels shared across test modules."""
 
 import re
 import tracemalloc
@@ -61,25 +60,6 @@ def random_even_lean_word(rng, n, pairs, tries=5000):
         if is_lean(w):
             return w
     raise AssertionError(f"no even lean word of {2 * pairs} letters found at n={n}")
-
-
-def relation_neighbors(letters, n):
-    """All letter tuples one defining-relation move away from `letters`.
-
-    Moves: swap an adjacent commuting pair, delete an adjacent equal pair,
-    insert an adjacent equal pair of any chord.
-    """
-    out = []
-    for i in range(len(letters) - 1):
-        a, b = letters[i], letters[i + 1]
-        if a == b:
-            out.append(letters[:i] + letters[i + 2 :])
-        elif _kernels_py.commutes(a, b):
-            out.append(letters[:i] + (b, a) + letters[i + 2 :])
-    for i in range(len(letters) + 1):
-        for x in range(1, 1 << n):
-            out.append(letters[:i] + (x, x) + letters[i:])
-    return out
 
 
 def _blocks(a, b):

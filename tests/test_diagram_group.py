@@ -23,7 +23,8 @@ from cactus_groups.words import (
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import random_cactus_word, relation_neighbors
+from helpers import random_cactus_word
+from oracle import relation_neighbors
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 
@@ -46,6 +47,7 @@ def test_is_lean_examples():
 
 
 def test_lean_reduce_examples():
+    assert lean_reduce is lex_normal_form
     assert lean_reduce(dw("t{1,2} t{1,2}")) == dw("")
     assert lean_reduce(
         dw("t{1,2} t{1,2,3} t{1,3} t{1,2,3} t{2,3} t{1,2,3}")

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import oracle
 from cactus_groups import KERNEL_BACKEND, _kernels_py, kernels
+from cactus_groups.words import DiagramWord
 from helpers import (
     reference_append_slot,
     reference_canonical_if_lean,
@@ -13,19 +15,29 @@ from helpers import (
     reference_lex_least,
 )
 
-ALPHA3 = tuple(range(1, 8))
-
-
 # One parameter, whose id names the backend in every test id ("[python-...]").
 @pytest.fixture(params=[_kernels_py], ids=["python"])
 def kern(request):
     return request.param
 
 
+# One parameter, so the search tests keep their "[python]" ids.
+@pytest.fixture(params=[oracle], ids=["python"])
+def bfs(request):
+    return request.param
+
+
 def test_selected_backend_is_exported():
     assert KERNEL_BACKEND == kernels.BACKEND == "python"
     exported = {name for name in vars(kernels) if not name.startswith("_")} - {"BACKEND"}
-    assert {"append_slot", "lean_reduce", "swap_class", "component_ids"} <= exported
+    assert exported == {
+        "append_slot",
+        "canonical_if_lean",
+        "commutes",
+        "is_lean",
+        "lean_reduce",
+        "lex_least",
+    }
     for name in exported:
         assert getattr(kernels, name) is getattr(_kernels_py, name), name
     assert kernels.lean_reduce((3, 3)) == ()
@@ -169,9 +181,11 @@ words_strategy = st.lists(st.integers(1, 15), max_size=8).map(tuple)
 
 
 def least_of_class(word):
-    cls = kernels.swap_class(word, 10**5)
-    assume(cls is not None)
-    return min(cls)
+    try:
+        cls = oracle.commutation_class(DiagramWord(4, word), 10**5)
+    except oracle.StateCapExceeded:
+        assume(False)
+    return min(w.letters for w in cls)
 
 
 @given(words_strategy)
@@ -218,39 +232,48 @@ def test_lean_reduce_folds_central_chords_last(word):
     assert _kernels_py.lean_reduce(word) == reference_lex_least(reference_lean_reduce(word))
 
 
-def test_bfs_reach_examples(kern):
-    assert kern.bfs_reach((3, 3), [()], ALPHA3, 4, 10**6) == [True]
-    assert kern.bfs_reach((3, 6), [(6, 3)], ALPHA3, 4, 10**6) == [False]
-    assert kern.bfs_reach((3, 6), [(3, 6), (6, 3), ()], ALPHA3, 4, 10**6) == [
-        True,
-        False,
-        False,
-    ]
+def w3(*letters):
+    return DiagramWord(3, letters)
 
 
-def test_reachable_class_small(kern):
-    got = kern.reachable_class((3,), ALPHA3, 3, 10**6)
+def test_bfs_reach_examples(bfs):
+    assert bfs.bfs_equal(w3(3, 3), w3(), max_len=4)
+    assert not bfs.bfs_equal(w3(3, 6), w3(6, 3), max_len=4)
+    targets = [w3(3, 6), w3(6, 3), w3()]
+    assert bfs.bfs_equal_many(w3(3, 6), targets, max_len=4) == [True, False, False]
+
+
+def test_reachable_class_small(bfs):
+    got = bfs.reachable_class(w3(3), max_len=3)
     assert (3,) in got
     assert (3, 5, 5) in got  # one insertion
     assert () not in got  # a single letter never cancels
 
 
-def test_swap_class_examples(kern):
-    assert kern.swap_class((3, 12), 10**6) == {(3, 12), (12, 3)}
-    assert kern.swap_class((3, 5), 10**6) == {(3, 5)}
-    assert kern.swap_class((3, 7, 5), 10**6) == {(3, 7, 5), (3, 5, 7), (7, 3, 5)}
+def test_swap_class_examples(bfs):
+    def swap_class(*letters):
+        return {w.letters for w in bfs.commutation_class(DiagramWord(4, letters))}
+
+    assert swap_class(3, 12) == {(3, 12), (12, 3)}
+    assert swap_class(3, 5) == {(3, 5)}
+    assert swap_class(3, 7, 5) == {(3, 7, 5), (3, 5, 7), (7, 3, 5)}
 
 
-def test_component_ids_small(kern):
-    words = [(), (3, 3), (5, 5), (3, 5), (5, 3), (3,)]
-    ids = kern.component_ids(words, ALPHA3, 4, 10**6)
-    assert ids is not None
+def test_component_ids_small(bfs):
+    words = [w3(), w3(3, 3), w3(5, 5), w3(3, 5), w3(5, 3), w3(3)]
+    ids = bfs.component_partition(words, max_len=4)
     assert ids[0] == ids[1] == ids[2]
     assert len({ids[3], ids[4], ids[5], ids[0]}) == 4
 
 
-def test_state_cap_returns_none(kern):
-    assert kern.reachable_class((3,), ALPHA3, 6, 10) is None
-    assert kern.bfs_reach((3,), [(5,)], ALPHA3, 6, 10) is None
-    assert kern.component_ids([(3,), (5,)], ALPHA3, 6, 10) is None
-    assert kern.swap_class(tuple([3, 12] * 6), 5) is None
+def test_state_cap_returns_none(bfs):
+    # Named for the old contract, under which searches returned None at the
+    # cap; the name keeps the test id stable.
+    with pytest.raises(bfs.StateCapExceeded):
+        bfs.reachable_class(w3(3), max_len=6, state_cap=10)
+    with pytest.raises(bfs.StateCapExceeded):
+        bfs.bfs_equal(w3(3), w3(5), max_len=6, state_cap=10)
+    with pytest.raises(bfs.StateCapExceeded):
+        bfs.component_partition([w3(3), w3(5)], max_len=6, state_cap=10)
+    with pytest.raises(bfs.StateCapExceeded):
+        bfs.commutation_class(DiagramWord(4, (3, 12) * 6), state_cap=5)

@@ -1,7 +1,9 @@
 import pytest
 
 from cactus_groups.diagram_group import equal_diagrams, lex_normal_form
-from cactus_groups.oracle import (
+from cactus_groups.words import DiagramWord, parse_diagram_word
+from helpers import random_diagram_word
+from oracle import (
     StateCapExceeded,
     bfs_equal,
     bfs_equal_many,
@@ -9,8 +11,6 @@ from cactus_groups.oracle import (
     component_partition,
     reachable_class,
 )
-from cactus_groups.words import DiagramWord, parse_diagram_word
-from helpers import random_diagram_word
 
 
 def dw(text, n=3):
