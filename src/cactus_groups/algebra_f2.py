@@ -89,19 +89,51 @@ def homogeneous_component(x: F2Series, d: int) -> frozenset:
     return frozenset(m for m in x.support if len(m) == d)
 
 
+def _graded_terms(letters: tuple):
+    """Yield the homogeneous components 1, 2, ... of the image of a word,
+    each as sorted (monomial, 1) pairs.
+
+    Appending a letter a maps the degree-k component of a prefix w to
+    comp_k(w a) = comp_k(w) + comp_{k-1}(w) t_a.  For the last degree the
+    generator keeps what each letter added; the next pass replays those
+    gains to rebuild comp_{k-1} of every prefix in turn and appends each
+    letter to it.  A degree costs one append per monomial per prefix, so
+    the components up to d together cost about one `f2_image` at degree d.
+    """
+    gains = [()] * len(letters)  # what each letter adds to comp_{k-1}
+    start = [()]  # comp_{k-1} of the empty prefix
+    while True:
+        prefix = set(start)
+        step = []
+        for letter, gained in zip(letters, gains):
+            grown = []
+            for mono in prefix:
+                slot = kernels.append_slot(mono, letter)
+                if slot >= 0:
+                    grown.append(mono[:slot] + (letter,) + mono[slot:])
+            step.append(grown)
+            prefix.symmetric_difference_update(gained)
+        gains, start = step, ()
+        component = set()
+        for grown in gains:
+            component.symmetric_difference_update(grown)
+        yield tuple(sorted((mono, 1) for mono in component))
+
+
 def nilpotent_separation(
     w: DiagramWord, max_degree: int | None = None
 ) -> SeparationCertificate | None:
     """Certificate of nontriviality in a nilpotent quotient, or None for
     the trivial element.
 
-    Searches truncation degrees 1, 2, ... for the first at which the image
-    of the lean reduction differs from 1; the lean length always suffices,
-    since the image's top term is the lean monomial itself.  ``max_degree``
-    caps the search (raising `DegreeCapReached` if it bites).
+    Computes the homogeneous components of the lean reduction's image one
+    degree at a time, each one pass over the prefixes of the word, and
+    stops at the first nonzero one; the lean length always suffices, since
+    the image's top term is the lean monomial itself.  ``max_degree`` caps
+    the search (raising `DegreeCapReached` if it bites).
 
     >>> cert = nilpotent_separation(DiagramWord(2, (0b11,)))
     >>> cert.degree, cert.witness
     (1, (((3,), 1),))
     """
-    return _separate(w, max_degree, f2_image, RING_F2)
+    return _separate(w, max_degree, _graded_terms, RING_F2)

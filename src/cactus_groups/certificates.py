@@ -7,12 +7,15 @@ to the mod-2 algebra with square-zero generators (each chord t_I maps
 through 1 + t_I); ring "z-torsion-free" to the integer partially
 commutative power-series algebra with the alternating-occurrence map.
 
-`verify_certificate` recomputes the truncated image by direct expansion of
-the defining product over subsequences of the word, a code path separate
-from the letter-by-letter images that produced the certificate (the two
-share only the kernel primitive), and confirms the witness and its
-minimality.  `SeparationCertificate.from_json` validates the layout below
-and raises `CertificateFormatError` for anything else.
+The producers search degree by degree: each algebra yields the homogeneous
+components of the lean word's image one degree at a time, every new degree
+one pass over the prefixes of the word, and the search stops at the first
+nonzero one.  `verify_certificate` takes the other road through the
+algebra: it builds the whole truncated image (`f2_image` or `z_image`)
+once, at the certified degree, and requires every lower component to
+vanish and the top one to equal the witness.  The two paths share only
+the kernel primitive.  `SeparationCertificate.from_json` validates the
+layout below and raises `CertificateFormatError` for anything else.
 
 JSON layout::
 
@@ -138,22 +141,21 @@ class SeparationCertificate:
         return cls.from_dict(data)
 
 
-def _separate(w: DiagramWord, max_degree: int | None, image, ring: str):
-    """The separation search of both rings: the first truncation degree at
-    which ``image`` of the lean reduction differs from 1, or None for the
-    trivial element.
+def _separate(w: DiagramWord, max_degree: int | None, components, ring: str):
+    """The separation search of both rings: the first degree at which the
+    image of the lean reduction has a nonzero homogeneous component, or
+    None for the trivial element.  ``components(lean)`` yields the sorted
+    nonconstant terms of that image, degree 1, 2, ... in turn.
     """
     if max_degree is not None and max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     lean = kernels.lean_reduce(w.letters)
     if not lean:
         return None
-    reduced = DiagramWord(w.n, lean)
     cap = len(lean) if max_degree is None else min(max_degree, len(lean))
-    for k in range(1, cap + 1):
-        series = image(reduced, k)
-        if not series.is_one():
-            return SeparationCertificate(format_diagram_word(w), ring, k, series.terms())
+    for degree, terms in zip(range(1, cap + 1), components(lean)):
+        if terms:
+            return SeparationCertificate(format_diagram_word(w), ring, degree, terms)
     if cap < len(lean):
         raise DegreeCapReached(f"not separated by degree {cap}")
     raise RuntimeError("lean word image was trivial at its own length; impossible")
@@ -169,77 +171,18 @@ def _infer_arity(cert: SeparationCertificate) -> int:
     return max(strands)
 
 
-def _expand_f2(letters: tuple, degree: int) -> dict:
-    """Degree -> {monomial} with odd coefficient, by subsequence expansion.
-
-    The image of a word under t -> 1 + t is the sum over subsequences of
-    the subsequence's monomial.  Each subsequence is grown one chosen
-    letter at a time and kept canonical by appending; once a chosen letter
-    meets an equal one across commuting letters the monomial is zero, and
-    every extension of it stays zero, so the branch is dropped.  The walk
-    runs on an explicit stack, so no word length meets the recursion limit.
-    """
-    components: dict[int, set] = {d: set() for d in range(1, degree + 1)}
-    stack = [(0, ())]  # (next letter that may be chosen, monomial so far)
-    while stack:
-        start, mono = stack.pop()
-        if mono:
-            components[len(mono)].symmetric_difference_update((mono,))
-        if len(mono) == degree:
-            continue
-        for i in range(start, len(letters)):
-            letter = letters[i]
-            slot = kernels.append_slot(mono, letter)
-            if slot >= 0:
-                stack.append((i + 1, mono[:slot] + (letter,) + mono[slot:]))
-    return components
-
-
-def _expand_z(letters: tuple, degree: int) -> dict:
-    """Degree -> {monomial: coeff}, by direct expansion of the alternating
-    product: the c-th occurrence of a chord contributes 1 + t for odd c and
-    the truncated geometric inverse for even c; choose one term per factor.
-
-    Like `_expand_f2`, the walk visits each choice of non-constant terms
-    once, on an explicit stack, appending t^j to the monomial as j letters.
-    """
-    seen: dict[int, int] = {}
-    factors = []  # (mask, is_odd_occurrence)
-    for mask in letters:
-        count = seen.get(mask, 0) + 1
-        seen[mask] = count
-        factors.append((mask, count % 2 == 1))
-
-    components: dict[int, dict] = {d: {} for d in range(1, degree + 1)}
-    stack = [(0, (), 1)]  # (next factor, monomial so far, sign)
-    while stack:
-        start, mono, sign = stack.pop()
-        if mono:
-            comp = components[len(mono)]
-            coeff = comp.get(mono, 0) + sign
-            if coeff:
-                comp[mono] = coeff
-            else:
-                del comp[mono]
-        room = degree - len(mono)
-        if not room:
-            continue
-        for i in range(start, len(factors)):
-            mask, odd = factors[i]
-            grown, term_sign = mono, sign
-            for _ in range(1 if odd else room):
-                slot = kernels.append_slot(grown, mask, cancel=False)
-                grown = grown[:slot] + (mask,) + grown[slot:]
-                if not odd:
-                    term_sign = -term_sign
-                stack.append((i + 1, grown, term_sign))
-    return components
-
-
 def verify_certificate(cert: SeparationCertificate, n: int | None = None) -> bool:
     """Recompute the truncated image of the certified element at the stated
     degree and confirm the witness is exactly the first nonzero component.
+
+    The lean word's own monomial has coefficient 1 in F2 and +-1 in Z, so
+    no element separates above its lean length; a certificate claiming a
+    higher degree is rejected before any image is built.
     """
+    # The algebras import this module for the certificate type.
+    from .algebra_f2 import f2_image
+    from .algebra_z import z_image
+
     try:
         if n is None:
             n = _infer_arity(cert)
@@ -247,22 +190,21 @@ def verify_certificate(cert: SeparationCertificate, n: int | None = None) -> boo
     except ValueError:
         return False
     letters = kernels.lean_reduce(word.letters)
-    if not letters:
+    if not letters or cert.degree > len(letters):
         return False
+    lean = DiagramWord(word.n, letters)
 
     if cert.ring == RING_F2:
-        components = _expand_f2(letters, cert.degree)
-        claimed = {mono for mono, _ in cert.witness}
+        image = f2_image(lean, cert.degree).support
+        claimed = {(), *(mono for mono, _ in cert.witness)}
     else:
         parity = set()
         for mask in word.letters:
             parity.symmetric_difference_update((mask,))
         if parity:
             return False
-        components = _expand_z(letters, cert.degree)
-        claimed = dict(cert.witness)
-
-    for d in range(1, cert.degree):
-        if components[d]:
-            return False
-    return components[cert.degree] == claimed
+        image = dict(z_image(lean, cert.degree).coeffs)
+        claimed = {(): 1, **dict(cert.witness)}
+    # Every witness monomial has length degree, so equality leaves the
+    # components 1 ... degree - 1 empty.
+    return image == claimed

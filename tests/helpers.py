@@ -62,6 +62,23 @@ def random_even_lean_word(rng, n, pairs, tries=5000):
     raise AssertionError(f"no even lean word of {2 * pairs} letters found at n={n}")
 
 
+# Five chords on a common strand plus the chords through every other strand:
+# no two of them are nested or disjoint, so every pair crosses.
+CROSSING_CHORDS_N6 = ("t{1,2}", "t{1,3}", "t{1,4}", "t{1,5}", "t{1,6}", "t{2,3,4,5,6}")
+
+
+def nested_commutator_text(brackets):
+    """Left-normed commutator [[..[[a, b], c], ..], z] of the first
+    ``brackets + 1`` pairwise-crossing chords at n = 6, as diagram-word text.
+    Chords are involutions, so [x, c] = x c x^-1 c with x^-1 read backwards.
+    """
+    chords = CROSSING_CHORDS_N6[: brackets + 1]
+    word = [chords[0]]
+    for chord in chords[1:]:
+        word = word + [chord] + word[::-1] + [chord]
+    return " ".join(word)
+
+
 def _blocks(a, b):
     c = a & b
     return c != 0 and c != a and c != b

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cactus_groups import certificates, kernels
+from cactus_groups import algebra_f2, algebra_z, kernels
 from cactus_groups.algebra_f2 import f2_image, nilpotent_separation
 from cactus_groups.algebra_f2 import homogeneous_component as homogeneous_component_f2
 from cactus_groups.algebra_z import homogeneous_component, tfn_separation, z_image
@@ -14,8 +14,15 @@ from cactus_groups.certificates import (
     SeparationCertificate,
     verify_certificate,
 )
-from cactus_groups.words import format_diagram_word, parse_diagram_word
-from helpers import random_even_word, random_lean_word
+from cactus_groups.words import DiagramWord, format_diagram_word, parse_diagram_word
+from helpers import (
+    nested_commutator_text,
+    random_diagram_word,
+    random_even_lean_word,
+    random_even_word,
+    random_lean_word,
+)
+from walk_reference import expand_f2, expand_z
 
 ALT = "t{1,2} t{1,3} t{1,2} t{1,3}"
 WORKED_DIAGRAM = "t{1,2} t{1,2,3} t{1,3} t{1,2,3} t{2,3} t{1,2,3}"
@@ -168,13 +175,127 @@ def test_expansions_match_the_images(rng):
         n = rng.choice([3, 4])
         w = random_lean_word(rng, n, rng.randrange(1, 7))
         k = rng.randrange(1, len(w) + 1)
-        f2 = certificates._expand_f2(w.letters, k)
+        f2 = expand_f2(w.letters, k)
         image = f2_image(w, k)
         assert all(f2[d] == homogeneous_component_f2(image, d) for d in range(1, k + 1))
         even = random_even_word(rng, n, rng.randrange(1, 4))
-        z = certificates._expand_z(kernels.lean_reduce(even.letters), k)
+        z = expand_z(kernels.lean_reduce(even.letters), k)
         zimage = z_image(even, k)
         assert all(z[d] == homogeneous_component(zimage, d) for d in range(1, k + 1))
+
+
+def graded(terms, k):
+    """The first k components a graded search yields, degree -> {mono: coeff}."""
+    return {d: dict(comp) for d, comp in zip(range(1, k + 1), terms)}
+
+
+def test_graded_components_match_the_walks_and_the_images(rng):
+    # three traversals of the same product: prefix by prefix per degree,
+    # letter by letter for all degrees at once, and subsequence by subsequence
+    for _ in range(60):
+        n = rng.choice([3, 4])
+        for w in (
+            random_diagram_word(rng, n, rng.randrange(1, 7)),
+            random_lean_word(rng, n, rng.randrange(1, 7)),
+        ):
+            k = len(w) + 1
+            comps = graded(algebra_f2._graded_terms(w.letters), k)
+            walk = expand_f2(w.letters, k)
+            image = f2_image(w, k)
+            for d in range(1, k + 1):
+                assert set(comps[d]) == walk[d] == homogeneous_component_f2(image, d)
+                assert set(comps[d].values()) <= {1}
+        # every chord of an even word occurs an even number of times, lean or not
+        for w in (
+            random_even_word(rng, n, rng.randrange(1, 4)),
+            random_even_lean_word(rng, n, rng.randrange(2, 4)),
+        ):
+            k = len(w) + 1
+            comps = graded(algebra_z._graded_terms(w.letters), k)
+            walk = expand_z(w.letters, k)
+            image = z_image(w, k)
+            for d in range(1, k + 1):
+                assert comps[d] == walk[d] == homogeneous_component(image, d)
+
+
+def separate_by_images(w, image):
+    """The search by whole images, degree 1, 2, ... until one is not 1."""
+    lean = DiagramWord(w.n, kernels.lean_reduce(w.letters))
+    for k in range(1, len(lean) + 1):
+        series = image(lean, k)
+        if not series.is_one():
+            return k, series.terms()
+    raise AssertionError("no separating degree up to the lean length")
+
+
+@pytest.mark.parametrize(
+    "separate, image, words",
+    [
+        (nilpotent_separation, f2_image, random_diagram_word),
+        (tfn_separation, z_image, random_even_word),
+    ],
+    ids=["f2", "z"],
+)
+def test_graded_search_matches_the_search_by_images(rng, separate, image, words):
+    checked = 0
+    while checked < 60:
+        n = rng.choice([3, 4])
+        w = words(rng, n, rng.randrange(1, 7))
+        if not kernels.lean_reduce(w.letters):
+            continue
+        checked += 1
+        degree, witness = separate_by_images(w, image)
+        cert = separate(w)
+        assert (cert.degree, cert.witness) == (degree, witness)
+        assert separate(w, max_degree=degree) == cert
+        if degree > 1:
+            with pytest.raises(DegreeCapReached):
+                separate(w, max_degree=degree - 1)
+
+
+@pytest.mark.parametrize("brackets", [4, 5])
+@pytest.mark.parametrize("separate", [nilpotent_separation, tfn_separation], ids=["f2", "z"])
+def test_deep_commutator_certificates_verify(separate, brackets):
+    # five brackets, six chords, degree 6: the subsequence walk takes more
+    # than a minute per ring here, the image a few milliseconds
+    w = dw(nested_commutator_text(brackets), 6)
+    cert = separate(w)
+    assert cert.degree == brackets + 1
+    back = SeparationCertificate.from_json(cert.to_json())
+    assert back == cert
+    assert verify_certificate(back)
+    dropped = SeparationCertificate(cert.element, cert.ring, cert.degree, cert.witness[1:])
+    assert not verify_certificate(dropped)
+    if cert.ring == RING_Z:
+        (mono, coeff), *rest = cert.witness
+        changed = (mono, coeff + 1 if coeff != -1 else 1)
+        assert not verify_certificate(
+            SeparationCertificate(cert.element, cert.ring, cert.degree, (changed, *rest))
+        )
+
+
+@pytest.mark.parametrize(
+    "ring, coeff, word",
+    [(RING_F2, 1, nested_commutator_text(2)), (RING_Z, -1, nested_commutator_text(2))],
+    ids=["f2", "z"],
+)
+def test_verify_rejects_a_degree_above_the_lean_length_without_an_image(
+    monkeypatch, ring, coeff, word
+):
+    calls = []
+    for module, name in ((algebra_f2, "f2_image"), (algebra_z, "z_image")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _f=original: calls.append(args) or _f(*args)
+        )
+    mask = parse_diagram_word(word, 6).letters[0]
+    claimed = SeparationCertificate(word, ring, 200, (((mask,) * 200, coeff),))
+    assert len(kernels.lean_reduce(parse_diagram_word(word, 6).letters)) == 10
+    assert not verify_certificate(claimed)
+    assert calls == []
+    # the same counters do see the image of an honest certificate
+    assert verify_certificate(nilpotent_separation(dw(word, 6)))
+    assert len(calls) == 1
 
 
 GOOD = {

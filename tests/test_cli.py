@@ -7,6 +7,7 @@ from cactus_groups import cli
 from cactus_groups.certificates import SeparationCertificate, verify_certificate
 from cactus_groups.diagram_group import lex_normal_form
 from cactus_groups.words import parse_cactus_word, parse_diagram_word
+from helpers import nested_commutator_text
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 ALT = "t{1,2} t{1,3} t{1,2} t{1,3}"
@@ -90,6 +91,19 @@ def test_verify_reads_separate_output_from_stdin(capsys, monkeypatch, ring):
     assert code == 0
     monkeypatch.setattr("sys.stdin", io.StringIO(cert))
     assert run(capsys, "verify", "-") == (0, "true\n", "")
+
+
+@pytest.mark.parametrize("ring", ["f2", "z"])
+def test_verify_checks_a_depth_five_commutator_certificate(capsys, monkeypatch, ring):
+    code, cert, _ = run(capsys, "separate", "--n", "6", "--ring", ring, nested_commutator_text(5))
+    assert code == 0
+    assert json.loads(cert)["degree"] == 6
+    monkeypatch.setattr("sys.stdin", io.StringIO(cert))
+    assert run(capsys, "verify", "-") == (0, "true\n", "")
+    data = json.loads(cert)
+    data["witness"].pop()
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    assert run(capsys, "verify", "-") == (1, "false\n", "")
 
 
 @pytest.mark.parametrize("ring", ["f2", "z"])
