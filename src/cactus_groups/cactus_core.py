@@ -25,6 +25,9 @@ p..q.  Chords record labels, not positions, which makes the restriction of
 `diagram_of` to pure words a homomorphism into the diagram group; on
 non-pure words it is still well defined (a cocycle) and powers the
 equality test g == h  iff  g h^{-1} is trivial.
+
+All of these read a word in one walk over positions 1..max q, since the
+rest never move; only `word_permutation`, with n entries out, costs n.
 """
 
 from __future__ import annotations
@@ -94,32 +97,39 @@ def generator_permutation(g: CactusGenerator, n: int) -> Permutation:
     return tuple(g.p + g.q - i if g.p <= i <= g.q else i for i in range(1, n + 1))
 
 
-def _final_assignment(w: CactusWord) -> list[int]:
-    """Position-to-label assignment after reading the whole word."""
-    assign = list(range(1, w.n + 1))
-    for g in w.letters:
-        assign[g.p - 1 : g.q] = assign[g.p - 1 : g.q][::-1]
-    return assign
+def _walk(letters) -> tuple[list[int], list[int]]:
+    """The chord of each letter, and the bit ``1 << (label - 1)`` of the
+    label at each position 1..max q at the end; the bits are disjoint, so
+    a chord is the sum of its segment."""
+    assign = [1 << i for i in range(max(map(itemgetter(1), letters), default=0))]
+    chords = []
+    for p, q in letters:
+        segment = assign[p - 1 : q]
+        chords.append(sum(segment))
+        segment.reverse()
+        assign[p - 1 : q] = segment
+    return chords, assign
+
+
+def _unmoved(assign: list[int]) -> bool:
+    return all(bit == 1 << i for i, bit in enumerate(assign))
 
 
 def word_permutation(w: CactusWord) -> Permutation:
     """Image of a word in the symmetric group (label -> final position).
 
-    >>> w = parse_cactus_word("s1,2 s1,2", 2)
-    >>> word_permutation(w)
-    (1, 2)
+    >>> word_permutation(parse_cactus_word("s1,3 s1,2", 4))
+    (3, 1, 2, 4)
     """
-    assign = _final_assignment(w)
-    images = [0] * w.n
-    for pos, label in enumerate(assign, start=1):
-        images[label - 1] = pos
+    images = list(range(1, w.n + 1))
+    for pos, bit in enumerate(_walk(w.letters)[1], start=1):
+        images[bit.bit_length() - 1] = pos
     return tuple(images)
 
 
 def is_pure(w: CactusWord) -> bool:
     """True iff the word lies in the kernel of the permutation map."""
-    assign = _final_assignment(w)
-    return all(label == pos for pos, label in enumerate(assign, start=1))
+    return _unmoved(_walk(w.letters)[1])
 
 
 def inverse_word(w: CactusWord) -> CactusWord:
@@ -134,31 +144,20 @@ def diagram_of(w: CactusWord) -> DiagramWord:
     >>> format_diagram_word(diagram_of(parse_cactus_word("s1,3 s1,2", 3)))
     't{1,2,3} t{2,3}'
     """
-    # assign[i] is the bit of the label at position i; the bits are
-    # disjoint, so a chord is the sum of its segment.  Positions past the
-    # largest q never move, so they get no entry.
-    assign = [1 << i for i in range(max(map(itemgetter(1), w.letters), default=0))]
-    chords = []
-    for p, q in w.letters:
-        segment = assign[p - 1 : q]
-        chords.append(sum(segment))
-        segment.reverse()
-        assign[p - 1 : q] = segment
-    return DiagramWord(w.n, tuple(chords))
+    return DiagramWord(w.n, tuple(_walk(w.letters)[0]))
 
 
 def equal_in_Jn(g: CactusWord, h: CactusWord) -> bool:
     """Decide equality in the cactus group.
 
-    Equal words must have equal permutations, and then g h^{-1} is pure, so
-    it is trivial iff its chord diagram reduces to the empty diagram word.
+    One walk of g h^{-1} answers both questions: g and h can only be equal
+    when g h^{-1} is pure, and a pure word is trivial iff its chord diagram
+    reduces to the empty diagram word.
 
     >>> equal_in_Jn(parse_cactus_word("s1,2 s3,4", 4), parse_cactus_word("s3,4 s1,2", 4))
     True
     """
     if g.n != h.n:
         raise ValueError(f"arity mismatch: {g.n} != {h.n}")
-    if word_permutation(g) != word_permutation(h):
-        return False
-    cancel = g * inverse_word(h)
-    return kernels.lean_reduce(diagram_of(cancel).letters) == ()
+    chords, assign = _walk(g.letters + h.letters[::-1])
+    return _unmoved(assign) and kernels.lean_reduce(chords) == ()

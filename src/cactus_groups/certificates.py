@@ -32,6 +32,7 @@ import json
 from dataclasses import dataclass
 
 from . import kernels
+from .diagram_group import in_even_subgroup
 from .words import (
     DiagramWord,
     chord_mask,
@@ -198,10 +199,8 @@ def verify_certificate(cert: SeparationCertificate, n: int | None = None) -> boo
         image = f2_image(lean, cert.degree).support
         claimed = {(), *(mono for mono, _ in cert.witness)}
     else:
-        parity = set()
-        for mask in word.letters:
-            parity.symmetric_difference_update((mask,))
-        if parity:
+        # Lean reduction keeps every chord's parity.
+        if not in_even_subgroup(lean):
             return False
         image = dict(z_image(lean, cert.degree).coeffs)
         claimed = {(): 1, **dict(cert.witness)}

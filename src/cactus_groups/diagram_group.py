@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import kernels
-from .cactus_core import diagram_of, is_pure, word_permutation
+from .cactus_core import diagram_of, invert_permutation, is_pure, word_permutation
 from .words import (
     CactusGenerator,
     CactusWord,
@@ -142,10 +142,14 @@ def gamma_circ_projection(w: CactusWord) -> tuple:
 def in_gamma_circ(w: CactusWord) -> bool:
     """True iff the pure word lies in the even part: all big-chord parities
     vanish.  Cross-checked against full evenness of the diagram, which must
-    agree for pure words; disagreement signals an internal bug.
+    agree for pure words; disagreement signals an internal bug.  Reads
+    only the odd chords, so unlike `gamma_circ_projection` it costs no 2^n.
     """
-    projection_zero = not any(gamma_circ_projection(w))
-    even = in_even_subgroup(diagram_of(w))
+    if not is_pure(w):
+        raise ValueError("word is not pure (nontrivial strand permutation)")
+    odd = delta(diagram_of(w))
+    projection_zero = not any(m.bit_count() > 2 for m in odd)
+    even = not odd
     if projection_zero != even:
         raise RuntimeError(
             "parity criteria disagree on a pure word; this cannot happen "
@@ -197,13 +201,11 @@ def construct_pure_generator(n: int, chord: int | Iterable[int]) -> CactusWord:
     gather = [CactusGenerator(i, i + 1) for i in reversed(_sort_swaps(list(target)))]
     letters = gather + [CactusGenerator(1, k)]
 
-    assign = list(range(1, n + 1))
-    for g in letters:
-        assign[g.p - 1 : g.q] = assign[g.p - 1 : g.q][::-1]
-    letters += [CactusGenerator(i, i + 1) for i in _sort_swaps(assign)]
+    assign = invert_permutation(word_permutation(CactusWord(n, tuple(letters))))
+    letters += [CactusGenerator(i, i + 1) for i in _sort_swaps(list(assign))]
 
     word = CactusWord(n, tuple(letters))
-    if word_permutation(word) != tuple(range(1, n + 1)):
+    if not is_pure(word):
         raise RuntimeError("constructed generator is not pure")
     big = [m for m in diagram_of(word).letters if m.bit_count() > 2]
     if big != [mask]:

@@ -169,8 +169,9 @@ def peak_bytes(call):
             tracemalloc.stop()
 
 
-def reference_diagram_of(w):
-    """Chord diagram of a cactus word, tracking the label list itself."""
+def reference_label_walk(w):
+    """Chord diagram of a cactus word and its final position-to-label list,
+    tracking the label list itself."""
     assign = list(range(1, w.n + 1))
     chords = []
     for g in w.letters:
@@ -179,7 +180,7 @@ def reference_diagram_of(w):
             mask |= 1 << (label - 1)
         chords.append(mask)
         assign[g.p - 1 : g.q] = assign[g.p - 1 : g.q][::-1]
-    return DiagramWord(w.n, tuple(chords))
+    return DiagramWord(w.n, tuple(chords)), assign
 
 
 def reference_parse_cactus_word(text, n):

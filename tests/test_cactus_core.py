@@ -11,6 +11,7 @@ from cactus_groups.cactus_core import (
     is_pure,
     word_permutation,
 )
+from cactus_groups.diagram_group import in_gamma_circ
 from cactus_groups.words import (
     CactusGenerator,
     CactusWord,
@@ -19,7 +20,7 @@ from cactus_groups.words import (
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import all_generators, peak_bytes, random_cactus_word, reference_diagram_of
+from helpers import all_generators, peak_bytes, random_cactus_word, reference_label_walk
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 
@@ -101,8 +102,12 @@ def test_diagram_chords_are_label_sets_of_reversed_intervals():
 
 def test_diagram_of_matches_the_label_list(rng):
     for _ in range(200):
-        w = random_cactus_word(rng, rng.randrange(2, 10), rng.randrange(0, 40))
-        assert diagram_of(w) == reference_diagram_of(w)
+        u = random_cactus_word(rng, rng.randrange(2, 10), rng.randrange(0, 40))
+        for w in (u, u * inverse_word(u)):
+            diagram, assign = reference_label_walk(w)
+            assert diagram_of(w) == diagram
+            assert word_permutation(w) == tuple(assign.index(i) + 1 for i in range(1, w.n + 1))
+            assert is_pure(w) == (assign == list(range(1, w.n + 1)))
 
 
 def test_diagram_of_tracks_labels_only_up_to_the_largest_q():
@@ -110,6 +115,14 @@ def test_diagram_of_tracks_labels_only_up_to_the_largest_q():
     # arity costs no label mask per strand
     assert diagram_of(parse_cactus_word("s1,2", 20000)).letters == (3,)
     assert peak_bytes(lambda: diagram_of(parse_cactus_word("s1,2", 20000))) < 1 << 20
+    w = parse_cactus_word("s1,2", 20000)
+    assert not is_pure(w) and equal_in_Jn(w, w)
+    assert peak_bytes(lambda: is_pure(w)) < 1 << 16
+    assert peak_bytes(lambda: equal_in_Jn(w, w)) < 1 << 16
+    # in_gamma_circ reads the odd chords, not a parity for each of 2^n chords
+    w = parse_cactus_word("s1,2 s1,2", 18)
+    assert in_gamma_circ(w)
+    assert peak_bytes(lambda: in_gamma_circ(w)) < 1 << 16
 
 
 def test_diagram_cocycle(rng):

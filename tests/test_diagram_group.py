@@ -140,6 +140,8 @@ def test_gamma_circ_projection_examples():
 def test_gamma_circ_projection_rejects_non_pure():
     with pytest.raises(ValueError):
         gamma_circ_projection(parse_cactus_word("s1,2", 3))
+    with pytest.raises(ValueError):
+        in_gamma_circ(parse_cactus_word("s1,2", 3))
 
 
 def test_in_gamma_circ_examples(rng):
