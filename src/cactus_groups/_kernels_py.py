@@ -16,8 +16,8 @@ backward scan decides both, so a word of L letters costs L scans instead
 of a restart after every deletion.  `lean_reduce` scans less: a central
 letter (a singleton chord, or the union of the word's letters) commutes
 with everything and never meets a barrier, so its scan would cross the
-whole word.  It keeps only the parity of each central letter and appends
-the odd ones last.
+whole word.  It keeps only the parity of each central letter and places
+the odd ones last, each straight at its slot without a scan.
 
 `cactus_groups.kernels` re-exports every kernel from here.
 """
@@ -81,8 +81,11 @@ def lean_reduce(word: Sequence[int]) -> Word:
     Central letters are held back: a singleton chord, or ``top``, the union
     of every letter of the word, commutes with every letter, so it can move
     to the end and two copies of it cancel.  Only their parity is kept, and
-    the odd ones are appended last in ascending order, one scan each,
-    instead of one scan per occurrence.
+    the odd ones are placed last in ascending order.  A central letter meets
+    no barrier and no equal letter, so `append_slot` would return the first
+    position holding a larger letter: a forward pointer finds it, and never
+    moves back, since each singleton's slot lies past the one before.
+    ``top`` contains every letter, so it is the largest and goes at the end.
 
     >>> lean_reduce((4, 3, 7, 5, 1, 4, 7, 1, 1))
     (1, 3, 5)
@@ -104,8 +107,15 @@ def lean_reduce(word: Sequence[int]) -> Word:
             del out[~slot]
         else:
             out.insert(slot, a)
+    j = 0
     for a in sorted(odd):
-        out.insert(append_slot(out, a), a)
+        if a == top:
+            out.append(a)
+            break
+        while j < len(out) and out[j] < a:
+            j += 1
+        out.insert(j, a)
+        j += 1
     return tuple(out)
 
 

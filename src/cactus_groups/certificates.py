@@ -35,6 +35,7 @@ from . import kernels
 from .diagram_group import in_even_subgroup
 from .words import (
     DiagramWord,
+    MAX_STRAND,
     chord_mask,
     chord_members,
     format_diagram_word,
@@ -74,10 +75,11 @@ def _chord(members) -> int:
         or not members
         or not all(type(i) is int and i >= 1 for i in members)
         or not all(a < b for a, b in zip(members, members[1:]))
+        or members[-1] > MAX_STRAND
     ):
         raise CertificateFormatError(
             "a chord must be a nonempty, strictly ascending list of strands "
-            f"numbered from 1, got {members!r}"
+            f"numbered from 1 to {MAX_STRAND}, got {members!r}"
         )
     return chord_mask(members, members[-1])
 

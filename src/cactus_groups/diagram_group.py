@@ -114,6 +114,11 @@ def in_even_subgroup(w: DiagramWord) -> bool:
     return not delta(w)
 
 
+# Largest arity `gamma_circ_projection` accepts: its vector has about 2^n
+# entries, about 10^6 at n = 20.
+MAX_PROJECTION_ARITY = 20
+
+
 def big_chord_sets(n: int) -> tuple[int, ...]:
     """Chord masks on more than two strands, ascending; the coordinate
     order of `gamma_circ_projection`."""
@@ -133,6 +138,10 @@ def gamma_circ_projection(w: CactusWord) -> tuple:
     >>> gamma_circ_projection(parse_cactus_word("s1,2 s1,3 " * 3, 3))
     (1,)
     """
+    if w.n > MAX_PROJECTION_ARITY:
+        raise ValueError(
+            f"arity {w.n} exceeds {MAX_PROJECTION_ARITY}: the projection has 2^n entries"
+        )
     if not is_pure(w):
         raise ValueError("word is not pure (nontrivial strand permutation)")
     odd = delta(diagram_of(w))

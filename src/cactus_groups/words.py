@@ -7,12 +7,16 @@ for strand ``i``).  Both grammars are whitespace-separated token lists and
 an empty string denotes the identity; arity is always supplied separately,
 never inferred from the tokens, and is checked before any token is read.
 
-Each parser validates each distinct token once per call, at its first
-position, and reuses the result for every repeat.  A repeat can only be
-valid if its first occurrence was, so the first bad token and its position
-are the same as for a token-by-token scan.  The reuse is a local dict, not
-a module cache: spellings such as ``t{01,2}`` make the set of valid tokens
-unbounded.
+Each parser collects the distinct tokens in first-occurrence order
+(`dict.fromkeys`, in C), validates each once and reuses the result for
+every repeat.  The first bad distinct token is the earliest bad token, so
+the error and its position, worked out only then, are the same as for a
+token-by-token scan.  The reuse is a local dict, not a module cache:
+spellings such as ``t{01,2}`` make the set of valid tokens unbounded.
+
+Strand numbers in tokens are bounded by `MAX_STRAND`, independently of the
+arity: the strand walk and the chord masks take memory that grows with the
+largest strand number, which a short token could otherwise make huge.
 
 This module owns the types and the parsing/printing; `cactus_core` and
 `diagram_group` re-export them alongside the group operations.
@@ -20,9 +24,14 @@ This module owns the types and the parsing/printing; `cactus_core` and
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple
+
+
+# Largest strand number a token or chord may name; `s1,4096` walks in ~1 MB.
+MAX_STRAND = 4096
 
 
 class ParseError(ValueError):
@@ -62,7 +71,7 @@ class CactusWord:
 
     def __post_init__(self):
         _check_arity(self.n)
-        for g in self.letters:
+        for g in dict.fromkeys(self.letters):
             if not 1 <= g.p < g.q <= self.n:
                 raise ValueError(f"invalid generator s_{{{g.p},{g.q}}} for arity {self.n}")
 
@@ -76,11 +85,14 @@ class CactusWord:
 
 
 def chord_mask(members: Iterable[int], n: int) -> int:
-    """Bitmask of a chord from its strand members (each in 1..n, nonempty)."""
+    """Bitmask of a chord from its strand members (each in 1..n and at most
+    `MAX_STRAND`, nonempty)."""
     mask = 0
     for i in members:
         if not 1 <= i <= n:
             raise ValueError(f"strand {i} out of range 1..{n}")
+        if i > MAX_STRAND:
+            raise ValueError(f"strand {i} exceeds the bound {MAX_STRAND}")
         mask |= 1 << (i - 1)
     if mask == 0:
         raise ValueError("chord must be nonempty")
@@ -114,10 +126,11 @@ class DiagramWord:
         n = self.n
         _check_arity(n)
         # ``mask >> n`` instead of ``mask < 1 << n``, which would build an
-        # n-bit integer
-        for mask in self.letters:
-            if mask <= 0 or mask >> n:
-                raise ValueError(f"chord {mask:#b} out of range for arity {n}")
+        # n-bit integer; min and max run in C, the search only on failure
+        letters = self.letters
+        if letters and (min(letters) <= 0 or max(letters) >> n):
+            mask = next(m for m in letters if m <= 0 or m >> n)
+            raise ValueError(f"chord {mask:#b} out of range for arity {n}")
 
     def __mul__(self, other: "DiagramWord") -> "DiagramWord":
         if self.n != other.n:
@@ -128,16 +141,17 @@ class DiagramWord:
         return len(self.letters)
 
 
-def _letters(text: str, n: int, letter: Callable[[str, int, int], Any]) -> tuple:
-    """The letters of ``text``, where ``letter(token, position, n)``
-    validates one token; each distinct token is validated once, at its
-    first position."""
+def _letters(text: str, n: int, letter: Callable[[str, int], Any]) -> tuple:
+    """The letters of ``text``, where ``letter(token, n)`` validates one
+    token or raises `ValueError`; each distinct token is validated once."""
     _check_arity(n)
     tokens = text.split()
-    seen = {}
-    for pos, token in enumerate(tokens, start=1):
-        if token not in seen:
-            seen[token] = letter(token, pos, n)
+    seen = dict.fromkeys(tokens)
+    for token in seen:
+        try:
+            seen[token] = letter(token, n)
+        except ValueError as exc:
+            raise ParseError(str(exc), token, tokens.index(token) + 1) from None
     return tuple(map(seen.__getitem__, tokens))
 
 
@@ -145,17 +159,19 @@ _CACTUS_TOKEN = re.compile(r"s(\d+),(\d+)\Z")
 _DIAGRAM_TOKEN = re.compile(r"t\{(\d+(?:,\d+)*)\}\Z")
 
 
-def _cactus_generator(token: str, pos: int, n: int) -> CactusGenerator:
+def _cactus_generator(token: str, n: int) -> CactusGenerator:
     m = _CACTUS_TOKEN.match(token)
     if m is None:
-        raise ParseError("expected s<p>,<q>", token, pos)
-    p, q = int(m.group(1)), int(m.group(2))
+        raise ValueError("expected s<p>,<q>")
+    p, q = map(int, m.groups())
     if p < 1:
-        raise ParseError("p must be at least 1", token, pos)
+        raise ValueError("p must be at least 1")
     if p >= q:
-        raise ParseError("p must be less than q", token, pos)
+        raise ValueError("p must be less than q")
     if q > n:
-        raise ParseError(f"q exceeds arity {n}", token, pos)
+        raise ValueError(f"q exceeds arity {n}")
+    if q > MAX_STRAND:
+        raise ValueError(f"q exceeds the strand bound {MAX_STRAND}")
     return CactusGenerator(p, q)
 
 
@@ -175,18 +191,21 @@ def format_cactus_word(w: CactusWord) -> str:
     return " ".join(f"s{g.p},{g.q}" for g in w.letters)
 
 
-def _chord(token: str, pos: int, n: int) -> int:
+def _chord(token: str, n: int) -> int:
     m = _DIAGRAM_TOKEN.match(token)
     if m is None:
-        raise ParseError("expected t{a,b,...}", token, pos)
-    members = [int(s) for s in m.group(1).split(",")]
-    if any(a >= b for a, b in zip(members, members[1:])):
-        raise ParseError("members must be strictly ascending", token, pos)
+        raise ValueError("expected t{a,b,...}")
+    members = list(map(int, m.group(1).split(",")))
+    if not all(map(operator.lt, members, members[1:])):
+        raise ValueError("members must be strictly ascending")
     if members[0] < 1:
-        raise ParseError("strands are numbered from 1", token, pos)
+        raise ValueError("strands are numbered from 1")
     if members[-1] > n:
-        raise ParseError(f"strand exceeds arity {n}", token, pos)
-    return chord_mask(members, n)
+        raise ValueError(f"strand exceeds arity {n}")
+    if members[-1] > MAX_STRAND:
+        raise ValueError(f"strand exceeds the bound {MAX_STRAND}")
+    # distinct members, so the sum of their bits is the mask
+    return sum(map((1).__lshift__, members)) >> 1
 
 
 def parse_diagram_word(text: str, n: int) -> DiagramWord:

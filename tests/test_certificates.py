@@ -17,6 +17,7 @@ from cactus_groups.certificates import (
 from cactus_groups.words import DiagramWord, format_diagram_word, parse_diagram_word
 from helpers import (
     nested_commutator_text,
+    peak_bytes,
     random_diagram_word,
     random_even_lean_word,
     random_even_word,
@@ -127,6 +128,21 @@ def test_verify_rejects_wrong_element():
 def test_verify_rejects_malformed_element():
     cert = SeparationCertificate("x{1}", RING_F2, 1, (((3,), 1),))
     assert not verify_certificate(cert)
+
+
+def test_a_witness_strand_past_the_bound_is_a_format_error():
+    data = {**GOOD, "witness": [{"monomial": [[1, 10**10]], "coeff": 1}]}
+    with pytest.raises(CertificateFormatError, match="numbered from 1 to 4096"):
+        SeparationCertificate.from_json(json.dumps(data))
+    data["witness"][0]["monomial"] = [[1, 4096]]
+    assert SeparationCertificate.from_dict(data).witness == ((((1 << 4095) | 1,), 1),)
+
+
+def test_an_element_strand_past_the_bound_verifies_false_without_allocating():
+    cert = SeparationCertificate("t{1,2} t{1000000}", RING_F2, 1, (((3,), 1),))
+    outcome = []
+    assert peak_bytes(lambda: outcome.append(verify_certificate(cert))) < 1 << 16
+    assert outcome == [False]
 
 
 def test_verify_rejects_trivial_element():
@@ -335,6 +351,7 @@ GOOD = {
         {**GOOD, "witness": [{"monomial": [[1, 2, 1]], "coeff": 1}]},
         {**GOOD, "witness": [{"monomial": [[1, 1]], "coeff": 1}]},
         {**GOOD, "witness": [{"monomial": [[1, 2]], "coeff": 1}] * 2},
+        {**GOOD, "witness": [{"monomial": [[1, 4097]], "coeff": 1}]},
     ],
 )
 def test_from_dict_rejects_malformed_data(data):

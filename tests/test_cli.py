@@ -7,7 +7,7 @@ from cactus_groups import cli
 from cactus_groups.certificates import SeparationCertificate, verify_certificate
 from cactus_groups.diagram_group import lex_normal_form
 from cactus_groups.words import parse_cactus_word, parse_diagram_word
-from helpers import nested_commutator_text
+from helpers import nested_commutator_text, peak_bytes
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 ALT = "t{1,2} t{1,3} t{1,2} t{1,3}"
@@ -49,6 +49,7 @@ def run(capsys, *argv):
         (("render", "--n", "4", "--format", "ascii", "t{1,2,4}"), 0, "| | | |\n*-*-|-*\n| | | |\n"),
         (("render", "--n", "3", ""), 0, "| | |\n"),
         (("render", "--n", "7", "s3,7"), 0, "| | | | | | |\n| | X-X-X-X-X\n| | | | | | |\n"),
+        (("gamma0", "--n", "64", "s1,2 s1,2"), 0, "true\n"),
     ],
 )
 def test_verb_outputs(capsys, argv, exit_code, expected_out):
@@ -125,6 +126,36 @@ def test_verify_rejects_malformed_certificates(capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# Each would cost memory that grows with a number typed on the command line:
+# a strand walk over 1..q, a q-bit chord mask, or a 2^n projection vector.
+# Just past each bound, so that a missing bound costs seconds, not gigabytes.
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (("is-pure", "--n", "20000", "s1,20000"), "q exceeds the strand bound 4096"),
+        (("eq", "--n", "20000", "s1,2", "s1,2 s1,20000"), "q exceeds the strand bound 4096"),
+        (("nf", "--n", "100000", "t{100000}"), "strand exceeds the bound 4096"),
+        (("deq", "--n", "100000", "t{1}", "t{1,100000}"), "strand exceeds the bound 4096"),
+        (
+            (
+                "verify",
+                '{"element": "t{1,2}", "ring": "f2-nilpotent", "degree": 1, '
+                '"witness": [{"monomial": [[1, 100000]], "coeff": 1}]}',
+            ),
+            "numbered from 1 to 4096",
+        ),
+        (("project", "--n", "21", "s1,2 s1,2"), "arity 21 exceeds 20"),
+    ],
+    ids=["is-pure", "eq", "nf", "deq", "verify", "project"],
+)
+def test_numbers_past_a_bound_exit_2_without_allocating(capsys, argv, fragment):
+    outcome = []
+    assert peak_bytes(lambda: outcome.append(run(capsys, *argv))) < 1 << 20
+    code, out, err = outcome[0]
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and fragment in err
 
 
 @pytest.mark.parametrize("argv", [("nf", "--n", "-3", "t{1}"), ("perm", "--n", "0", "s9,1")])

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cactus_groups.cactus_core import diagram_of, inverse_word, is_pure
 from cactus_groups.diagram_group import (
+    MAX_PROJECTION_ARITY,
     big_chord_sets,
     commute,
     construct_pure_generator,
@@ -135,6 +136,14 @@ def test_gamma_circ_projection_examples():
     assert gamma_circ_projection(parse_cactus_word(WORKED, 3)) == (1,)
     w = construct_pure_generator(4, {1, 2, 4})
     assert gamma_circ_projection(w) == (0, 1, 0, 0, 0)
+
+
+def test_gamma_circ_projection_refuses_an_arity_past_the_bound():
+    assert MAX_PROJECTION_ARITY == 20
+    # checked before the purity walk and before any coordinate is built
+    with pytest.raises(ValueError, match="arity 21 exceeds 20"):
+        gamma_circ_projection(parse_cactus_word("s1,2", 21))
+    assert in_gamma_circ(parse_cactus_word("s1,2 s1,2", 64))
 
 
 def test_gamma_circ_projection_rejects_non_pure():

@@ -1,7 +1,7 @@
 """The kernels against brute force and the greedy references."""
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracle
@@ -230,6 +230,53 @@ def central_heavy_words(draw):
 @given(central_heavy_words())
 def test_lean_reduce_folds_central_chords_last(word):
     assert _kernels_py.lean_reduce(word) == reference_lex_least(reference_lean_reduce(word))
+
+
+def plain_fold(word):
+    """The lean word by `reference_append_slot` alone, central letters
+    appended where they stand like any other."""
+    out = []
+    for a in word:
+        slot = reference_append_slot(out, a)
+        if slot < 0:
+            del out[~slot]
+        else:
+            out.insert(slot, a)
+    return tuple(out)
+
+
+def scanned_letters(word):
+    """``lean_reduce(word)`` and the letters it passed to `append_slot`."""
+    seen = []
+    append_slot = _kernels_py.append_slot
+
+    def recording(out, letter, cancel=True):
+        seen.append(letter)
+        return append_slot(out, letter, cancel)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels_py, "append_slot", recording)
+        return _kernels_py.lean_reduce(word), seen
+
+
+@given(
+    st.one_of(
+        central_heavy_words(),
+        # central letters only: singletons, and the union of the word
+        st.lists(st.sampled_from([1, 2, 4, 8, 16, 31]), max_size=30).map(lambda w: (31, *w)),
+        # the union chord is itself a singleton
+        st.integers(0, 5).map(lambda k: (4,) * k),
+    )
+)
+@example((4, 4, 4))
+@example((31, 16, 1, 8, 2, 4))
+def test_lean_reduce_places_central_chords_without_a_scan(word):
+    top = 0
+    for a in word:
+        top |= a
+    result, seen = scanned_letters(word)
+    assert not [a for a in seen if a & (a - 1) == 0 or a == top]
+    assert result == reference_lex_least(plain_fold(word))
 
 
 def w3(*letters):

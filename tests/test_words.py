@@ -3,6 +3,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cactus_groups.words import (
+    MAX_STRAND,
     CactusGenerator,
     CactusWord,
     DiagramWord,
@@ -138,6 +139,50 @@ def test_parse_cactus_word_matches_token_by_token(tokens, seps, n):
     assert parse_outcome(parse_cactus_word, text, n) == expected
 
 
+# A bad token repeated before and after a different bad one, and bad tokens
+# first met past position 1,000 after many repeats of good ones.
+@pytest.mark.parametrize(
+    "parse, reference, tokens",
+    [
+        (
+            parse_diagram_word,
+            reference_parse_diagram_word,
+            ["t{1}", "t{2,1}", "t{1}", "t{0}", "t{2,1}", "t{0}"],
+        ),
+        (
+            parse_diagram_word,
+            reference_parse_diagram_word,
+            ["t{0}", "t{1,2}", "t{1,9}", "t{1,2}", "t{0}", "t{1,9}"],
+        ),
+        (
+            parse_diagram_word,
+            reference_parse_diagram_word,
+            ["t{1,2}", "t{2,3}", "t{01,2}"] * 400 + ["t{1,9}", "t{1}", "t{2,1}", "t{1,9}"],
+        ),
+        (
+            parse_cactus_word,
+            reference_parse_cactus_word,
+            ["s1,2", "s2,1", "s1,2", "s0,2", "s2,1", "s0,2"],
+        ),
+        (
+            parse_cactus_word,
+            reference_parse_cactus_word,
+            ["s1,9", "s2,3", "x1,2", "s1,9", "x1,2"],
+        ),
+        (
+            parse_cactus_word,
+            reference_parse_cactus_word,
+            ["s1,2", "s2,3", "s01,2"] * 400 + ["s1,9", "s1,3", "s0,2", "s1,9"],
+        ),
+    ],
+)
+def test_first_bad_token_matches_token_by_token(parse, reference, tokens):
+    text = " ".join(tokens)
+    expected = parse_outcome(reference, text, 3)
+    assert isinstance(expected, tuple)
+    assert parse_outcome(parse, text, 3) == expected
+
+
 def test_parse_error_is_value_error():
     assert issubclass(ParseError, ValueError)
 
@@ -196,6 +241,45 @@ def test_word_validation():
     with pytest.raises(ValueError):
         DiagramWord(3, (-1,))
     assert DiagramWord(3, (7,)).letters == (7,)
+
+
+def test_word_validation_names_the_first_bad_letter():
+    with pytest.raises(ValueError) as exc:
+        CactusWord(3, (CactusGenerator(1, 2), CactusGenerator(2, 2), CactusGenerator(1, 5)))
+    assert str(exc.value) == "invalid generator s_{2,2} for arity 3"
+    # neither the least nor the largest bad chord, but the first
+    with pytest.raises(ValueError) as exc:
+        DiagramWord(3, (1, 8, 16, 0, 8))
+    assert str(exc.value) == "chord 0b1000 out of range for arity 3"
+
+
+# Strand numbers past the bound are refused while the word is still text:
+# no walk over 1..q and no mask of q bits is built.
+@pytest.mark.parametrize(
+    "parse, text, n, message",
+    [
+        (parse_cactus_word, "s1,2 s1,100000", 100000, "q exceeds the strand bound 4096"),
+        (parse_cactus_word, "s1,2 s2,10000000000", 10**10, "q exceeds the strand bound 4096"),
+        (parse_cactus_word, "s1,2 s4096,4097", 4097, "q exceeds the strand bound 4096"),
+        (parse_diagram_word, "t{1} t{1,100000}", 100000, "strand exceeds the bound 4096"),
+        (parse_diagram_word, "t{1} t{4097}", 10**10, "strand exceeds the bound 4096"),
+    ],
+)
+def test_strand_numbers_are_bounded(parse, text, n, message):
+    token = text.split()[1]
+    outcome = []
+    assert peak_bytes(lambda: outcome.append(parse_outcome(parse, text, n))) < 1 << 16
+    assert outcome == [(f"token 2 ({token!r}): {message}", token, 2)]
+
+
+def test_strand_bound_is_inclusive():
+    assert MAX_STRAND == 4096
+    assert parse_cactus_word("s1,4096", 5000).letters == (CactusGenerator(1, 4096),)
+    assert parse_diagram_word("t{4096}", 5000).letters == (1 << 4095,)
+    assert chord_mask([4096], 5000) == 1 << 4095
+    with pytest.raises(ValueError) as exc:
+        chord_mask([1, 100000], 100000)
+    assert str(exc.value) == "strand 100000 exceeds the bound 4096"
 
 
 def test_chord_range_check_does_not_grow_with_the_arity():
