@@ -39,6 +39,7 @@ from .diagram_group import (
 )
 from .render import render_ascii
 from .words import (
+    CactusWord,
     ParseError,
     format_cactus_word,
     format_chord,
@@ -57,9 +58,21 @@ def _decision(value: bool) -> int:
     return 0 if value else 1
 
 
+# Entries of the identity tail that `perm` formats per write.
+_PERM_CHUNK = 1 << 12
+
+
 def _cmd_perm(args: argparse.Namespace) -> int:
     w = parse_cactus_word(args.word, args.n)
-    print(_fmt_vector(word_permutation(w)))
+    # The permutation is the identity past the largest q: write the moved
+    # prefix, then the tail in chunks, so memory follows the word, not n.
+    m = max((g.q for g in w.letters), default=1)
+    write = sys.stdout.write
+    write("[" + ",".join(map(str, word_permutation(CactusWord(m, w.letters)))))
+    for start in range(m + 1, args.n + 1, _PERM_CHUNK):
+        stop = min(start + _PERM_CHUNK, args.n + 1)
+        write("," + ",".join(map(str, range(start, stop))))
+    write("]\n")
     return 0
 
 

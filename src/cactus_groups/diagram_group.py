@@ -191,8 +191,11 @@ def construct_pure_generator(n: int, chord: int | Iterable[int]) -> CactusWord:
     ``chord``.  Built from adjacent transpositions (which only emit
     two-strand chords): first bring the members of ``chord`` to positions
     1..k in order, then reverse that block in one letter, then undo the
-    accumulated permutation by bubble sort.  The postconditions are
-    verified before returning.
+    accumulated permutation by bubble sort.  Strands past the chord's
+    largest member m never move, and bubble sort never swaps across
+    position m, so the letters are built on strands 1..m and memory
+    follows the chord, not n.  The postconditions are verified before
+    returning.
 
     >>> from .words import format_cactus_word
     >>> format_cactus_word(construct_pure_generator(3, (1, 2, 3)))
@@ -206,11 +209,12 @@ def construct_pure_generator(n: int, chord: int | Iterable[int]) -> CactusWord:
     if k <= 2:
         raise ValueError(f"chord must have more than two strands, got {k}")
 
-    target = members + [i for i in range(1, n + 1) if not (mask >> (i - 1)) & 1]
+    m = members[-1]
+    target = members + [i for i in range(1, m + 1) if not (mask >> (i - 1)) & 1]
     gather = [CactusGenerator(i, i + 1) for i in reversed(_sort_swaps(list(target)))]
     letters = gather + [CactusGenerator(1, k)]
 
-    assign = invert_permutation(word_permutation(CactusWord(n, tuple(letters))))
+    assign = invert_permutation(word_permutation(CactusWord(m, tuple(letters))))
     letters += [CactusGenerator(i, i + 1) for i in _sort_swaps(list(assign))]
 
     word = CactusWord(n, tuple(letters))

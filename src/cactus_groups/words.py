@@ -7,12 +7,24 @@ for strand ``i``).  Both grammars are whitespace-separated token lists and
 an empty string denotes the identity; arity is always supplied separately,
 never inferred from the tokens, and is checked before any token is read.
 
-Each parser collects the distinct tokens in first-occurrence order
-(`dict.fromkeys`, in C), validates each once and reuses the result for
-every repeat.  The first bad distinct token is the earliest bad token, so
-the error and its position, worked out only then, are the same as for a
-token-by-token scan.  The reuse is a local dict, not a module cache:
-spellings such as ``t{01,2}`` make the set of valid tokens unbounded.
+Each arity n up to `_TABLE_ARITY` has one table per grammar, built once
+per process: it maps every spelling the formatters print for that arity,
+the 2^n - 1 chords ``t{...}`` and the n(n-1)/2 generators ``s<p>,<q>``,
+to its letter, so a word parses with one table lookup per token, in C.
+The tables are built by doubling the chord spellings strand by strand and
+together stay under 0.3 MB.  The first token a table misses (a bad token,
+or a valid spelling the formatters never print, such as ``t{01,2}``,
+``s01,2`` or non-ASCII digits), and any arity past the bound, sends the
+whole word to the validating path, so every accepted word and every error
+is the same with or without the tables.  User tokens are never cached:
+such spellings make the set of valid tokens unbounded, and one token can
+be megabytes long.
+
+The validating path collects the distinct tokens in first-occurrence
+order (`dict.fromkeys`, in C), validates each once and reuses the result
+for every repeat.  The first bad distinct token is the earliest bad
+token, so the error and its position, worked out only then, are the same
+as for a token-by-token scan.
 
 Strand numbers in tokens are bounded by `MAX_STRAND`, independently of the
 arity: the strand walk and the chord masks take memory that grows with the
@@ -24,6 +36,7 @@ This module owns the types and the parsing/printing; `cactus_core` and
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -32,6 +45,9 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 # Largest strand number a token or chord may name; `s1,4096` walks in ~1 MB.
 MAX_STRAND = 4096
+
+# Largest arity with spelling tables: 1,023 chords at the bound.
+_TABLE_ARITY = 10
 
 
 class ParseError(ValueError):
@@ -141,11 +157,20 @@ class DiagramWord:
         return len(self.letters)
 
 
-def _letters(text: str, n: int, letter: Callable[[str, int], Any]) -> tuple:
-    """The letters of ``text``, where ``letter(token, n)`` validates one
-    token or raises `ValueError`; each distinct token is validated once."""
+def _letters(
+    text: str, n: int, letter: Callable[[str, int], Any], table: Callable[[int], dict]
+) -> tuple:
+    """The letters of ``text``, looked up in ``table(n)`` when every token
+    is there; otherwise ``letter(token, n)`` validates one token or raises
+    `ValueError`, and each distinct token is validated once."""
     _check_arity(n)
     tokens = text.split()
+    # exact ints only: the tables are built over range(1, n + 1)
+    if type(n) is int and n <= _TABLE_ARITY:
+        try:
+            return tuple(map(table(n).__getitem__, tokens))
+        except KeyError:
+            pass
     seen = dict.fromkeys(tokens)
     for token in seen:
         try:
@@ -153,6 +178,26 @@ def _letters(text: str, n: int, letter: Callable[[str, int], Any]) -> tuple:
         except ValueError as exc:
             raise ParseError(str(exc), token, tokens.index(token) + 1) from None
     return tuple(map(seen.__getitem__, tokens))
+
+
+@functools.cache
+def _generator_table(n: int) -> dict[str, CactusGenerator]:
+    """Every printed spelling ``s<p>,<q>`` at arity n -> its generator."""
+    return {f"s{p},{q}": CactusGenerator(p, q) for q in range(2, n + 1) for p in range(1, q)}
+
+
+@functools.cache
+def _chord_table(n: int) -> dict[str, int]:
+    """Every printed spelling ``t{...}`` at arity n -> its chord mask.
+
+    Strand i doubles the list of member lists: each one without i, and the
+    same with i appended, which keeps the members ascending.
+    """
+    bodies = [("", 0)]
+    for i in range(1, n + 1):
+        bit = 1 << (i - 1)
+        bodies += [(f"{body},{i}" if mask else str(i), mask | bit) for body, mask in bodies]
+    return {f"t{{{body}}}": mask for body, mask in bodies[1:]}
 
 
 _CACTUS_TOKEN = re.compile(r"s(\d+),(\d+)\Z")
@@ -183,7 +228,7 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
     >>> len(parse_cactus_word("", 5))
     0
     """
-    return CactusWord(n, _letters(text, n, _cactus_generator))
+    return CactusWord(n, _letters(text, n, _cactus_generator, _generator_table))
 
 
 def format_cactus_word(w: CactusWord) -> str:
@@ -214,7 +259,7 @@ def parse_diagram_word(text: str, n: int) -> DiagramWord:
     >>> parse_diagram_word("t{1,2} t{1,2,3}", 3).letters == (0b011, 0b111)
     True
     """
-    return DiagramWord(n, _letters(text, n, _chord))
+    return DiagramWord(n, _letters(text, n, _chord, _chord_table))
 
 
 def format_chord(mask: int) -> str:

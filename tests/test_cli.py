@@ -1,9 +1,11 @@
 import io
 import json
+import sys
 
 import pytest
 
 from cactus_groups import cli
+from cactus_groups.cactus_core import word_permutation
 from cactus_groups.certificates import SeparationCertificate, verify_certificate
 from cactus_groups.diagram_group import lex_normal_form
 from cactus_groups.words import parse_cactus_word, parse_diagram_word
@@ -241,6 +243,48 @@ def test_make_generator_output_is_pure_and_reusable(capsys):
     assert code == 0
     assert out == "[0,1,0,0,0]\n"
     assert word.n == 4
+
+
+# Past the word's largest q, perm writes the identity tail in chunks.
+@pytest.mark.parametrize(
+    "n",
+    [5, 9, cli._PERM_CHUNK + 4, cli._PERM_CHUNK + 5, cli._PERM_CHUNK + 6, 3 * cli._PERM_CHUNK + 11],
+)
+@pytest.mark.parametrize("word", ["", "s1,2", "s2,5 s1,4 s3,4", "s1,5 s5,5", "s5,9"])
+def test_perm_output_matches_word_permutation(capsys, n, word):
+    code, out, err = run(capsys, "perm", "--n", str(n), word)
+    try:
+        expected = "[" + ",".join(map(str, word_permutation(parse_cactus_word(word, n)))) + "]\n"
+    except ValueError as exc:
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+    else:
+        assert (code, out, err) == (0, expected, "")
+
+
+def test_perm_memory_follows_the_word(monkeypatch):
+    class Sink:
+        size, head, tail = 0, "", ""
+
+        def write(self, s):
+            self.size += len(s)
+            self.head = (self.head + s)[:7]
+            self.tail = (self.tail + s)[-9:]
+            return len(s)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    outcome = []
+    assert peak_bytes(lambda: outcome.append(cli.run(["perm", "--n", "200000", "s1,3"]))) < 1 << 20
+    assert outcome == [0]
+    assert sink.size == len("[" + ",".join(map(str, range(1, 200001))) + "]\n")
+    assert (sink.head, sink.tail) == ("[3,2,1,", ",200000]\n")
+
+
+def test_make_generator_memory_follows_the_chord(capsys):
+    argv = ("make-generator", "--n", "200000", "t{1,2,3}")
+    outcome = []
+    assert peak_bytes(lambda: outcome.append(run(capsys, *argv))) < 1 << 16
+    assert outcome == [(0, "s1,3 s1,2 s2,3 s1,2\n", "")]
 
 
 def test_make_generator_rejects_small_chord(capsys):

@@ -19,12 +19,13 @@ from cactus_groups.diagram_group import (
     projection_dimension,
 )
 from cactus_groups.words import (
+    CactusWord,
     DiagramWord,
     chord_mask,
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import random_cactus_word
+from helpers import peak_bytes, random_cactus_word
 from oracle import relation_neighbors
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
@@ -187,6 +188,23 @@ def test_construct_pure_generator_postconditions(n, chord):
     assert is_pure(w)
     big = [m for m in diagram_of(w).letters if bin(m).count("1") > 2]
     assert big == [chord_mask(chord, n)]
+
+
+def test_construct_pure_generator_ignores_strands_past_the_chord():
+    for n in range(4, 8):
+        for mask in big_chord_sets(n):
+            letters = construct_pure_generator(mask.bit_length(), mask).letters
+            assert construct_pure_generator(n, mask) == CactusWord(n, letters)
+
+
+# Large enough that building over 1..n would show, small enough that it
+# would cost milliseconds, not gigabytes.
+@pytest.mark.parametrize("chord", [{1, 2, 3}, {2, 5, 7}, {1, 3, 4, 8}])
+def test_construct_pure_generator_memory_follows_the_chord(chord):
+    letters = construct_pure_generator(max(chord), chord).letters
+    out = []
+    assert peak_bytes(lambda: out.append(construct_pure_generator(200000, chord))) < 1 << 16
+    assert out == [CactusWord(200000, letters)]
 
 
 def test_construct_pure_generator_rejects_small_chords():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cactus_groups import words
 from cactus_groups.words import (
     MAX_STRAND,
     CactusGenerator,
@@ -305,3 +306,118 @@ def test_words_are_immutable_and_hashable():
     assert {w: 1}[parse_diagram_word("t{1,2}", 3)] == 1
     with pytest.raises(AttributeError):
         w.letters = ()
+
+
+# The spelling tables: every word of printed spellings at a tabled arity
+# parses through one lookup per token, and the answer must be the one the
+# validating path gives.
+TABLE_ARITY = words._TABLE_ARITY
+
+
+def validating_outcome(parse, text, n):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_TABLE_ARITY", 0)
+        return parse_outcome(parse, text, n)
+
+
+@st.composite
+def printed_word(draw):
+    n = draw(st.integers(1, TABLE_ARITY))
+    if draw(st.booleans()) or n == 1:
+        chords = st.sets(st.integers(1, n), min_size=1).map(lambda s: chord_mask(s, n))
+        w = DiagramWord(n, tuple(draw(st.lists(chords, max_size=30))))
+        return parse_diagram_word, format_diagram_word(w), n, w
+    pairs = st.integers(2, n).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q)))
+    w = CactusWord(n, tuple(CactusGenerator(*g) for g in draw(st.lists(pairs, max_size=30))))
+    return parse_cactus_word, format_cactus_word(w), n, w
+
+
+@given(printed_word())
+def test_tables_parse_printed_words_as_the_validating_path_does(case):
+    parse, text, n, w = case
+    assert parse_outcome(parse, text, n) == w
+    assert validating_outcome(parse, text, n) == w
+
+
+@pytest.mark.parametrize(
+    "parse, good, bad, message",
+    [
+        (
+            parse_diagram_word,
+            ["t{1,2}", "t{2,3}", "t{1,2,3}"],
+            "t{2,1}",
+            "members must be strictly ascending",
+        ),
+        (parse_diagram_word, ["t{1,2}", "t{3}"], "t{1,4}", "strand exceeds arity 3"),
+        (parse_cactus_word, ["s1,2", "s2,3", "s1,3"], "s0,2", "p must be at least 1"),
+        (parse_cactus_word, ["s1,2", "s2,3"], "s1,2s1,3", "expected s<p>,<q>"),
+    ],
+)
+def test_bad_token_after_hundreds_of_tabled_ones(parse, good, bad, message):
+    tokens = good * 200 + [bad] + good
+    position = len(good) * 200 + 1
+    expected = (f"token {position} ({bad!r}): {message}", bad, position)
+    text = " ".join(tokens)
+    assert parse_outcome(parse, text, 3) == expected
+    assert validating_outcome(parse, text, 3) == expected
+    reference = {
+        parse_diagram_word: reference_parse_diagram_word,
+        parse_cactus_word: reference_parse_cactus_word,
+    }[parse]
+    assert parse_outcome(reference, text, 3) == expected
+
+
+def test_unprinted_spellings_still_parse():
+    # leading zeros and non-ASCII digits miss the tables and are validated
+    assert parse_diagram_word("t{1,2} t{01,2} t{\u0661,\u0662} t{1,2}", 3).letters == (3, 3, 3, 3)
+    g = CactusGenerator(1, 2)
+    assert parse_cactus_word("s1,2 s01,2 s1,02 s\u0661,\u0662", 3).letters == (g, g, g, g)
+
+
+def test_tables_are_per_arity():
+    assert parse_diagram_word("t{1,9}", 9).letters == (0b100000001,)
+    assert parse_cactus_word("s1,9", 9).letters == (CactusGenerator(1, 9),)
+    assert parse_outcome(parse_diagram_word, "t{1} t{1,9}", 8) == (
+        "token 2 ('t{1,9}'): strand exceeds arity 8", "t{1,9}", 2
+    )
+    assert parse_outcome(parse_cactus_word, "s1,2 s1,9", 8) == (
+        "token 2 ('s1,9'): q exceeds arity 8", "s1,9", 2
+    )
+    # the chord table never answers for the cactus grammar, nor the reverse
+    assert parse_outcome(parse_diagram_word, "t{1} s1,2", 3)[2] == 2
+    assert parse_outcome(parse_cactus_word, "s1,2 t{1}", 3)[2] == 2
+
+
+@pytest.mark.parametrize("n", [TABLE_ARITY + 1, TABLE_ARITY + 5])
+def test_arities_past_the_tables_parse_as_before(n):
+    text = f"t{{1,{n}}} t{{2}} t{{1,{n}}}"
+    assert parse_diagram_word(text, n) == reference_parse_diagram_word(text, n)
+    assert parse_outcome(parse_diagram_word, text, n - 1) == parse_outcome(
+        reference_parse_diagram_word, text, n - 1
+    )
+    text = f"s1,{n} s2,3 s1,{n}"
+    assert parse_cactus_word(text, n) == reference_parse_cactus_word(text, n)
+    assert parse_outcome(parse_cactus_word, text, n - 1) == parse_outcome(
+        reference_parse_cactus_word, text, n - 1
+    )
+
+
+def test_tables_hold_exactly_the_printed_spellings_in_bounded_memory():
+    words._chord_table.cache_clear()
+    words._generator_table.cache_clear()
+
+    def build():
+        for n in range(1, TABLE_ARITY + 1):
+            words._chord_table(n)
+            words._generator_table(n)
+
+    assert peak_bytes(build) < 1 << 19
+    for n in range(1, TABLE_ARITY + 1):
+        chords = words._chord_table(n)
+        assert len(chords) == 2**n - 1
+        assert all(format_chord(mask) == token for token, mask in chords.items())
+        generators = words._generator_table(n)
+        assert len(generators) == n * (n - 1) // 2
+        assert all(
+            format_cactus_word(CactusWord(n, (g,))) == token for token, g in generators.items()
+        )
