@@ -3,7 +3,11 @@
 One verb per library capability.  Exit codes: 0 for success or a positive
 decision, 1 for a negative decision (false answers, failed separations),
 2 for usage or input errors, 3 for an internal error (a bug, never an
-answer).
+answer), 141 (128 + SIGPIPE) when the reader closed stdout before the
+output was written, as ``| head`` does.
+
+A call that names a verb is parsed by that verb's parser alone; the
+top-level parser reads only calls without a known verb, and ``-h``.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -40,9 +45,9 @@ from .diagram_group import (
 from .render import render_ascii
 from .words import (
     CactusWord,
+    DiagramWord,
     ParseError,
     format_cactus_word,
-    format_chord,
     format_diagram_word,
     parse_cactus_word,
     parse_diagram_word,
@@ -106,8 +111,7 @@ def _cmd_deq(args: argparse.Namespace) -> int:
 
 def _cmd_delta(args: argparse.Namespace) -> int:
     w = parse_diagram_word(args.word, args.n)
-    odd = sorted(delta(w))
-    print(" ".join(format_chord(mask) for mask in odd))
+    print(format_diagram_word(DiagramWord(w.n, tuple(sorted(delta(w))))))
     return 0
 
 
@@ -142,7 +146,6 @@ def _cmd_make_generator(args: argparse.Namespace) -> int:
 
 def _cmd_separate(args: argparse.Namespace) -> int:
     w = parse_diagram_word(args.word, args.n)
-    element = format_diagram_word(w)
     ring = RING_F2 if args.ring == "f2" else RING_Z
     separate = nilpotent_separation if args.ring == "f2" else tfn_separation
     try:
@@ -151,7 +154,7 @@ def _cmd_separate(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "element": element,
+                    "element": format_diagram_word(w),
                     "ring": ring,
                     "separated": False,
                     "max_degree": args.max_degree,
@@ -161,6 +164,7 @@ def _cmd_separate(args: argparse.Namespace) -> int:
         )
         return 1
     if cert is None:
+        element = format_diagram_word(w)
         print(json.dumps({"element": element, "ring": ring, "trivial": True}, sort_keys=True))
         return 1
     print(cert.to_json())
@@ -187,7 +191,8 @@ def _add_n(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each verb's own parser by verb name."""
     parser = argparse.ArgumentParser(
         prog="cactus",
         description="Word problems, parity maps, and separation certificates "
@@ -266,18 +271,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.set_defaults(func=_cmd_render)
 
-    return parser
+    return parser, subs.choices
+
+
+# Exit code for a reader that closed stdout early: 128 + SIGPIPE.
+_CLOSED_PIPE = 141
+
+
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    exit cannot fail on a pipe whose reader has gone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # an in-memory stream has no descriptor to redirect
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command; returns the exit code instead of exiting."""
-    parser = _build_parser()
+    parser, verbs = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # A known verb goes straight to its own parser: one argparse pass, not
+    # two.  Everything else (no verb, an unknown one, -h) gets the top level.
+    sub = verbs.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error, or help printed
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout: not an error of ours
+        _silence_stdout()
+        return _CLOSED_PIPE
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -287,7 +316,14 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        # Output that fits the buffer is written only now.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _silence_stdout()
+        code = _CLOSED_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,15 +10,21 @@ never inferred from the tokens, and is checked before any token is read.
 Each arity n up to `_TABLE_ARITY` has one table per grammar, built once
 per process: it maps every spelling the formatters print for that arity,
 the 2^n - 1 chords ``t{...}`` and the n(n-1)/2 generators ``s<p>,<q>``,
-to its letter, so a word parses with one table lookup per token, in C.
-The tables are built by doubling the chord spellings strand by strand and
-together stay under 0.3 MB.  The first token a table misses (a bad token,
-or a valid spelling the formatters never print, such as ``t{01,2}``,
-``s01,2`` or non-ASCII digits), and any arity past the bound, sends the
-whole word to the validating path, so every accepted word and every error
-is the same with or without the tables.  User tokens are never cached:
-such spellings make the set of valid tokens unbounded, and one token can
-be megabytes long.
+to its letter, so a word parses with one table lookup per token, in C,
+and is built without its constructor's check, since every letter in the
+table is valid at that arity.  The first token a table misses (a bad
+token, or a valid spelling the formatters never print, such as
+``t{01,2}``, ``s01,2`` or non-ASCII digits), and any arity past the
+bound, sends the whole word to the validating path, so every accepted
+word and every error is the same with or without the tables.  User
+tokens are never cached: such spellings make the set of valid tokens
+unbounded, and one token can be megabytes long.
+
+Printing a word of arity n up to the bound goes through the same
+tables, inverted, with one lookup per letter; a word of a larger arity
+is spelled letter by letter from its strand members.  The tables are
+built by doubling the chord spellings strand by strand, and all of
+them, with their inverses, stay under 0.4 MB.
 
 The validating path collects the distinct tokens in first-occurrence
 order (`dict.fromkeys`, in C), validates each once and reuses the result
@@ -157,27 +163,36 @@ class DiagramWord:
         return len(self.letters)
 
 
-def _letters(
-    text: str, n: int, letter: Callable[[str, int], Any], table: Callable[[int], dict]
-) -> tuple:
-    """The letters of ``text``, looked up in ``table(n)`` when every token
-    is there; otherwise ``letter(token, n)`` validates one token or raises
-    `ValueError`, and each distinct token is validated once."""
+def _parse(
+    cls: type, text: str, n: int, letter: Callable[[str, int], Any], table: Callable[[int], dict]
+):
+    """The word of arity n spelled by ``text``.  Its letters are looked up in
+    ``table(n)`` when every token is there, and the word is then built
+    without its constructor's check: a table holds only letters valid at
+    arity n.  Otherwise ``letter(token, n)`` validates one token or raises
+    `ValueError`, each distinct token is validated once, and the
+    constructor checks the word as usual."""
     _check_arity(n)
     tokens = text.split()
     # exact ints only: the tables are built over range(1, n + 1)
     if type(n) is int and n <= _TABLE_ARITY:
         try:
-            return tuple(map(table(n).__getitem__, tokens))
+            letters = tuple(map(table(n).__getitem__, tokens))
         except KeyError:
             pass
+        else:
+            # both word classes have exactly the fields n and letters
+            w = object.__new__(cls)
+            object.__setattr__(w, "n", n)
+            object.__setattr__(w, "letters", letters)
+            return w
     seen = dict.fromkeys(tokens)
     for token in seen:
         try:
             seen[token] = letter(token, n)
         except ValueError as exc:
             raise ParseError(str(exc), token, tokens.index(token) + 1) from None
-    return tuple(map(seen.__getitem__, tokens))
+    return cls(n, tuple(map(seen.__getitem__, tokens)))
 
 
 @functools.cache
@@ -198,6 +213,20 @@ def _chord_table(n: int) -> dict[str, int]:
         bit = 1 << (i - 1)
         bodies += [(f"{body},{i}" if mask else str(i), mask | bit) for body, mask in bodies]
     return {f"t{{{body}}}": mask for body, mask in bodies[1:]}
+
+
+@functools.cache
+def _generator_spellings(n: int) -> dict[CactusGenerator, str]:
+    """Inverse of `_generator_table(n)`: generator -> printed spelling."""
+    table = _generator_table(n)
+    return dict(zip(table.values(), table))
+
+
+@functools.cache
+def _chord_spellings(n: int) -> dict[int, str]:
+    """Inverse of `_chord_table(n)`: chord mask -> printed spelling."""
+    table = _chord_table(n)
+    return dict(zip(table.values(), table))
 
 
 _CACTUS_TOKEN = re.compile(r"s(\d+),(\d+)\Z")
@@ -228,11 +257,18 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
     >>> len(parse_cactus_word("", 5))
     0
     """
-    return CactusWord(n, _letters(text, n, _cactus_generator, _generator_table))
+    return _parse(CactusWord, text, n, _cactus_generator, _generator_table)
 
 
 def format_cactus_word(w: CactusWord) -> str:
     """Inverse of `parse_cactus_word`; identity prints as the empty string."""
+    # exact ints only, as in `_parse`; the table holds every generator of
+    # arity n unless one was built by hand with strands that are not ints
+    if type(w.n) is int and w.n <= _TABLE_ARITY:
+        try:
+            return " ".join(map(_generator_spellings(w.n).__getitem__, w.letters))
+        except KeyError:
+            pass
     return " ".join(f"s{g.p},{g.q}" for g in w.letters)
 
 
@@ -259,7 +295,7 @@ def parse_diagram_word(text: str, n: int) -> DiagramWord:
     >>> parse_diagram_word("t{1,2} t{1,2,3}", 3).letters == (0b011, 0b111)
     True
     """
-    return DiagramWord(n, _letters(text, n, _chord, _chord_table))
+    return _parse(DiagramWord, text, n, _chord, _chord_table)
 
 
 def format_chord(mask: int) -> str:
@@ -268,4 +304,6 @@ def format_chord(mask: int) -> str:
 
 def format_diagram_word(w: DiagramWord) -> str:
     """Inverse of `parse_diagram_word`; identity prints as the empty string."""
+    if type(w.n) is int and w.n <= _TABLE_ARITY:
+        return " ".join(map(_chord_spellings(w.n).__getitem__, w.letters))
     return " ".join(format_chord(mask) for mask in w.letters)

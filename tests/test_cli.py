@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -227,6 +229,70 @@ def test_missing_n_is_usage_error(capsys):
     assert code == 2
 
 
+# A call naming a verb is parsed by that verb's parser alone; usage errors,
+# help, option spellings and abbreviations read as with the top-level parser.
+@pytest.mark.parametrize(
+    "argv, exit_code, expected_out, last_err_line",
+    [
+        (("perm", "--n", "3"), 2, "",
+         "cactus perm: error: the following arguments are required: word"),
+        (("perm", "s1,2"), 2, "", "cactus perm: error: the following arguments are required: --n"),
+        (("perm", "--n", "x", "s1,2"), 2, "",
+         "cactus perm: error: argument --n: invalid int value: 'x'"),
+        (("perm", "--n=3", "s1,2"), 0, "[2,1,3]\n", None),
+        (
+            ("separate", "--n", "3", "--ri", "f2", ALT),
+            0,
+            lambda capsys: run(capsys, "separate", "--n", "3", "--ring", "f2", ALT)[1],
+            None,
+        ),
+        ((), 2, "", "cactus: error: the following arguments are required: verb"),
+        (("bogus",), 2, "", "cactus: error: argument verb: invalid choice: 'bogus' "),
+        (("-h",), 0, lambda capsys: cli._build_parser()[0].format_help(), None),
+        (("eq", "-h"), 0, lambda capsys: cli._build_parser()[1]["eq"].format_help(), None),
+    ],
+    ids=["missing positional", "missing --n", "--n x", "--n=3", "--ri abbreviation",
+         "no arguments", "bogus", "-h", "eq -h"],
+)
+def test_usage_outcomes(capsys, argv, exit_code, expected_out, last_err_line):
+    if callable(expected_out):
+        expected_out = expected_out(capsys)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (exit_code, expected_out)
+    if last_err_line is None:
+        assert err == ""
+    else:
+        assert err.splitlines()[-1].startswith(last_err_line)
+
+
+# Arguments the verb's parser does not know are reported under that verb's
+# usage; through the top-level parser they were reported under its usage.
+@pytest.mark.parametrize(
+    "argv, unrecognized",
+    [
+        (("eq", "--n", "3", "s1,2", "s1,2", "x"), "x"),
+        (("eq", "--n", "3", "--bogus", "s1,2", "s1,2"), "--bogus"),
+    ],
+    ids=["extra argument", "unknown option"],
+)
+def test_unrecognized_arguments_report_the_verb_usage(capsys, argv, unrecognized):
+    assert run(capsys, *argv) == (
+        2,
+        "",
+        "usage: cactus eq [-h] --n N word1 word2\n"
+        f"cactus eq: error: unrecognized arguments: {unrecognized}\n",
+    )
+
+
+def test_every_verb_has_its_own_parser():
+    _, verbs = cli._build_parser()
+    assert list(verbs) == [
+        "perm", "is-pure", "eq", "diagram", "nf", "deq", "delta", "gamma0", "project",
+        "make-generator", "separate", "verify", "render",
+    ]
+    assert all(sub.prog == f"cactus {name}" for name, sub in verbs.items())
+
+
 def test_render_rejects_too_many_strands(capsys):
     code, out, err = run(capsys, "render", "--n", "27", "")
     assert code == 2
@@ -374,3 +440,50 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: kernel fault\n"
+
+
+def test_closed_stdout_in_process_exits_141(monkeypatch, capsys):
+    class Closed:
+        def write(self, s):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert cli.run(["perm", "--n", "3", "s1,2"]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def cactus_process(*argv, stdout=subprocess.PIPE):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.Popen(
+        [sys.executable, "-m", "cactus_groups.cli", *argv],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+    )
+
+
+# A reader that stops early, as `| head -c 7` does, is not an error: the
+# writer exits 141 (128 + SIGPIPE) with nothing on stderr, whether the pipe
+# closes mid-output or before the buffered output is flushed at exit.
+def test_closed_stdout_pipe_mid_output_exits_141():
+    # the output is megabytes, so the writer blocks on the full pipe until
+    # the reader closes it
+    proc = cactus_process("perm", "--n", "1000000", "s1,2")
+    assert proc.stdout.read(7) == b"[2,1,3,"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_closed_stdout_pipe_at_exit_exits_141():
+    # the reader is gone before the writer starts; its few bytes wait in
+    # the buffer until the flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cactus_process("nf", "--n", "3", "t{1,2} t{1,2,3} t{1,3}", stdout=write_end)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (141, b"")

@@ -403,13 +403,19 @@ def test_arities_past_the_tables_parse_as_before(n):
 
 
 def test_tables_hold_exactly_the_printed_spellings_in_bounded_memory():
-    words._chord_table.cache_clear()
-    words._generator_table.cache_clear()
+    tables = (
+        words._chord_table,
+        words._generator_table,
+        words._chord_spellings,
+        words._generator_spellings,
+    )
+    for table in tables:
+        table.cache_clear()
 
     def build():
         for n in range(1, TABLE_ARITY + 1):
-            words._chord_table(n)
-            words._generator_table(n)
+            for table in tables:
+                table(n)
 
     assert peak_bytes(build) < 1 << 19
     for n in range(1, TABLE_ARITY + 1):
@@ -421,3 +427,61 @@ def test_tables_hold_exactly_the_printed_spellings_in_bounded_memory():
         assert all(
             format_cactus_word(CactusWord(n, (g,))) == token for token, g in generators.items()
         )
+
+
+# Printing looks spellings up in the inverted tables of the word's arity;
+# past the tables it spells each letter from its strand members.
+def spelled_chord(mask):
+    return "t{" + ",".join(str(i) for i in chord_members(mask)) + "}"
+
+
+def test_tables_print_every_letter_as_its_members_spell_it():
+    for n in range(1, TABLE_ARITY + 1):
+        masks = tuple(range(1, 1 << n))
+        expected = " ".join(map(spelled_chord, masks))
+        assert format_diagram_word(DiagramWord(n, masks)) == expected
+        gens = tuple(CactusGenerator(p, q) for q in range(2, n + 1) for p in range(1, q))
+        expected = " ".join(f"s{g.p},{g.q}" for g in gens)
+        assert format_cactus_word(CactusWord(n, gens)) == expected
+
+
+@pytest.mark.parametrize("n", [TABLE_ARITY + 1, 64])
+def test_arities_past_the_tables_print_from_the_members(monkeypatch, n):
+    def no_table(n):
+        raise AssertionError(f"table looked up for arity {n}")
+
+    monkeypatch.setattr(words, "_chord_spellings", no_table)
+    monkeypatch.setattr(words, "_generator_spellings", no_table)
+    top = 1 << (n - 1)
+    masks = (1, 1 << TABLE_ARITY, top | 5, (1 << n) - 1, 3)
+    assert format_diagram_word(DiagramWord(n, masks)) == " ".join(map(spelled_chord, masks))
+    gens = (CactusGenerator(1, 2), CactusGenerator(3, n), CactusGenerator(TABLE_ARITY, n))
+    text = f"s1,2 s3,{n} s{TABLE_ARITY},{n}"
+    assert format_cactus_word(CactusWord(n, gens)) == text
+
+
+def test_generators_with_strands_that_are_not_ints_print_as_built():
+    w = CactusWord(3, (CactusGenerator(1.5, 2), CactusGenerator(1, 3)))
+    assert format_cactus_word(w) == "s1.5,2 s1,3"
+
+
+def test_only_table_parsed_words_skip_the_constructor_check(monkeypatch):
+    checked = []
+    for cls in (CactusWord, DiagramWord):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda w, check=check: checked.append(w) or check(w))
+    tabled = [parse_cactus_word("s1,2 s2,3", 3), parse_diagram_word("t{1,2} t{3}", 3)]
+    assert checked == []
+    built = [
+        CactusWord(3, (CactusGenerator(1, 2), CactusGenerator(2, 3))),
+        DiagramWord(3, (3, 4)),
+    ]
+    # the parser sets every field the constructor would
+    assert [vars(w) for w in tabled] == [vars(w) for w in built]
+    checked.clear()
+    validated = [
+        parse_cactus_word("s01,2", 3),
+        parse_diagram_word("t{01,2}", 3),
+        parse_diagram_word("t{1,12}", TABLE_ARITY + 2),
+    ]
+    assert checked == validated
