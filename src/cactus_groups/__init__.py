@@ -34,7 +34,6 @@ from .diagram_group import (
     in_even_subgroup,
     in_gamma_circ,
     is_lean,
-    lean_reduce,
     lex_normal_form,
     projection_dimension,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "inverse_word",
     "is_lean",
     "is_pure",
-    "lean_reduce",
     "lex_normal_form",
     "nilpotent_separation",
     "parse_cactus_word",

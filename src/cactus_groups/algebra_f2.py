@@ -26,8 +26,6 @@ from . import kernels
 from .certificates import RING_F2, SeparationCertificate, _separate
 from .words import DiagramWord
 
-F2Monomial = tuple  # chord masks, lex-least in the commutation class
-
 
 @dataclass(frozen=True)
 class F2Series:
@@ -58,10 +56,6 @@ class F2Series:
         return tuple(sorted((m, 1) for m in self.support if m))
 
 
-def f2_one(degree: int) -> F2Series:
-    return F2Series(degree, frozenset([()]))
-
-
 def f2_image(w: DiagramWord, degree: int) -> F2Series:
     """Image of a chord word: the truncated product of 1 + t over its
     letters.  Each letter grows every monomial below the truncation degree
@@ -83,10 +77,6 @@ def f2_image(w: DiagramWord, degree: int) -> F2Series:
                     step.symmetric_difference_update((mono[:slot] + (letter,) + mono[slot:],))
         support = step
     return F2Series(degree, frozenset(support))
-
-
-def homogeneous_component(x: F2Series, d: int) -> frozenset:
-    return frozenset(m for m in x.support if len(m) == d)
 
 
 def _graded_terms(letters: tuple):

@@ -26,17 +26,17 @@ from .certificates import RING_Z, SeparationCertificate, _separate
 from .diagram_group import in_even_subgroup
 from .words import DiagramWord
 
-ZMonomial = tuple  # chord masks, lex-least in the commutation class; repeats allowed
-
-
-class _Canonical(dict):
-    """Coefficients already keyed by canonical monomials, with no zeros and
-    none above the truncation degree; `ZSeries` keeps them as they are."""
-
 
 @dataclass(frozen=True)
 class ZSeries:
-    """Truncated series: monomial -> nonzero integer coefficient."""
+    """Truncated series: monomial -> nonzero integer coefficient.
+
+    ``coeffs`` is taken as it is given: its keys must be canonical
+    monomials (lex-least in their commutation class), its coefficients
+    nonzero, and no monomial longer than ``degree``.  The constructor
+    checks only the degree and keeps a read-only view of the mapping,
+    without a pass over the terms.
+    """
 
     degree: int
     coeffs: Mapping
@@ -44,19 +44,7 @@ class ZSeries:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("truncation degree must be at least 1")
-        if isinstance(self.coeffs, _Canonical):
-            object.__setattr__(self, "coeffs", MappingProxyType(self.coeffs))
-            return
-        acc: dict = {}
-        for m, c in self.coeffs.items():
-            if c == 0:
-                continue
-            if len(m) > self.degree:
-                raise ValueError("monomial exceeds truncation degree")
-            mono = kernels.lex_least(m)
-            acc[mono] = acc.get(mono, 0) + c
-        clean = {m: c for m, c in acc.items() if c != 0}
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+        object.__setattr__(self, "coeffs", MappingProxyType(self.coeffs))
 
     @property
     def constant_term(self) -> int:
@@ -65,16 +53,9 @@ class ZSeries:
     def is_one(self) -> bool:
         return dict(self.coeffs) == {(): 1}
 
-    def coefficient(self, mono: ZMonomial) -> int:
-        return self.coeffs.get(kernels.lex_least(mono), 0)
-
     def terms(self) -> tuple:
         """Nonconstant (monomial, coefficient) pairs, sorted by monomial."""
         return tuple(sorted((m, c) for m, c in self.coeffs.items() if m))
-
-
-def z_one(degree: int) -> ZSeries:
-    return ZSeries(degree, {(): 1})
 
 
 def z_image(w: DiagramWord, degree: int) -> ZSeries:
@@ -110,11 +91,7 @@ def z_image(w: DiagramWord, degree: int) -> ZSeries:
                 grown = head + (letter,) * power + tail
                 step[grown] = step.get(grown, 0) + term
         acc = {m: c for m, c in step.items() if c}
-    return ZSeries(degree, _Canonical(acc))
-
-
-def homogeneous_component(x: ZSeries, d: int) -> dict:
-    return {m: c for m, c in x.coeffs.items() if len(m) == d}
+    return ZSeries(degree, acc)
 
 
 def _accumulate(acc: dict, terms) -> None:

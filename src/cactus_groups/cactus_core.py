@@ -10,12 +10,12 @@ to right stacks its letters downward, and the tracked state is the
 position-to-label assignment (which top label currently sits at each
 position).  Each letter reverses a segment of that assignment.
 `word_permutation` is the inverse of the final assignment, i.e. it maps a
-top label to its final position, so that
+top label to its final position, so that u * v applies the permutation of
+u first, then that of v:
 
-    word_permutation(u * v) == compose_permutations(word_permutation(u),
-                                                    word_permutation(v))
+    word_permutation(u * v)[i - 1] == b[a[i - 1] - 1]
 
-with `compose_permutations(a, b)` meaning "apply a, then b".  A word is
+with a = word_permutation(u) and b = word_permutation(v).  A word is
 pure when this permutation is the identity; the pure words form the kernel
 of the map onto the symmetric group.
 
@@ -35,66 +35,15 @@ from __future__ import annotations
 from operator import itemgetter
 
 from . import kernels
-from .words import (
-    CactusGenerator,
-    CactusWord,
-    DiagramWord,
-    ParseError,
-    format_cactus_word,
-    parse_cactus_word,
-)
+from .words import CactusWord, DiagramWord
 
 __all__ = [
-    "CactusGenerator",
-    "CactusWord",
-    "ParseError",
-    "parse_cactus_word",
-    "format_cactus_word",
-    "Permutation",
-    "identity_permutation",
-    "compose_permutations",
-    "invert_permutation",
-    "generator_permutation",
     "word_permutation",
     "is_pure",
     "inverse_word",
     "diagram_of",
     "equal_in_Jn",
 ]
-
-# images[i－1] is the destination of i; a bijection on 1..n.
-Permutation = tuple
-
-
-def identity_permutation(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
-def compose_permutations(a: Permutation, b: Permutation) -> Permutation:
-    """Apply ``a``, then ``b``.
-
-    >>> compose_permutations((2, 1, 3), (1, 3, 2))
-    (3, 1, 2)
-    """
-    return tuple(b[a[i] - 1] for i in range(len(a)))
-
-
-def invert_permutation(a: Permutation) -> Permutation:
-    inv = [0] * len(a)
-    for i, img in enumerate(a):
-        inv[img - 1] = i + 1
-    return tuple(inv)
-
-
-def generator_permutation(g: CactusGenerator, n: int) -> Permutation:
-    """The interval reversal i -> p+q-i on [p,q], identity elsewhere.
-
-    >>> generator_permutation(CactusGenerator(3, 7), 7)
-    (1, 2, 7, 6, 5, 4, 3)
-    """
-    if not 1 <= g.p < g.q <= n:
-        raise ValueError(f"invalid generator s_{{{g.p},{g.q}}} for arity {n}")
-    return tuple(g.p + g.q - i if g.p <= i <= g.q else i for i in range(1, n + 1))
 
 
 def _walk(letters) -> tuple[list[int], list[int]]:
@@ -115,9 +64,11 @@ def _unmoved(assign: list[int]) -> bool:
     return all(bit == 1 << i for i, bit in enumerate(assign))
 
 
-def word_permutation(w: CactusWord) -> Permutation:
-    """Image of a word in the symmetric group (label -> final position).
+def word_permutation(w: CactusWord) -> tuple[int, ...]:
+    """Image of a word in the symmetric group: entry i - 1 is the final
+    position of label i.
 
+    >>> from .words import parse_cactus_word
     >>> word_permutation(parse_cactus_word("s1,3 s1,2", 4))
     (3, 1, 2, 4)
     """
@@ -140,7 +91,7 @@ def inverse_word(w: CactusWord) -> CactusWord:
 def diagram_of(w: CactusWord) -> DiagramWord:
     """Chord diagram of a word: one chord per letter, joining current labels.
 
-    >>> from .words import format_diagram_word
+    >>> from .words import format_diagram_word, parse_cactus_word
     >>> format_diagram_word(diagram_of(parse_cactus_word("s1,3 s1,2", 3)))
     't{1,2,3} t{2,3}'
     """
@@ -154,6 +105,7 @@ def equal_in_Jn(g: CactusWord, h: CactusWord) -> bool:
     when g h^{-1} is pure, and a pure word is trivial iff its chord diagram
     reduces to the empty diagram word.
 
+    >>> from .words import parse_cactus_word
     >>> equal_in_Jn(parse_cactus_word("s1,2 s3,4", 4), parse_cactus_word("s3,4 s1,2", 4))
     True
     """

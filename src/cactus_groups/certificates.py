@@ -45,8 +45,6 @@ from .words import (
 RING_F2 = "f2-nilpotent"
 RING_Z = "z-torsion-free"
 
-Monomial = tuple  # tuple[int, ...], chord masks in canonical order
-
 
 class DegreeCapReached(RuntimeError):
     """A separation search hit its degree cap before separating."""
@@ -89,7 +87,7 @@ class SeparationCertificate:
     element: str
     ring: str
     degree: int
-    witness: tuple  # tuple[(Monomial, int), ...], sorted by monomial
+    witness: tuple  # ((monomial, coeff), ...), sorted; a monomial is canonical chord masks
 
     def __post_init__(self):
         if self.ring not in (RING_F2, RING_Z):
@@ -164,16 +162,6 @@ def _separate(w: DiagramWord, max_degree: int | None, components, ring: str):
     raise RuntimeError("lean word image was trivial at its own length; impossible")
 
 
-def _infer_arity(cert: SeparationCertificate) -> int:
-    strands = [1]
-    for token in cert.element.replace("t{", " ").replace("}", " ").replace(",", " ").split():
-        strands.append(int(token))
-    for mono, _ in cert.witness:
-        for mask in mono:
-            strands.append(mask.bit_length())
-    return max(strands)
-
-
 def verify_certificate(cert: SeparationCertificate, n: int | None = None) -> bool:
     """Recompute the truncated image of the certified element at the stated
     degree and confirm the witness is exactly the first nonzero component.
@@ -181,15 +169,17 @@ def verify_certificate(cert: SeparationCertificate, n: int | None = None) -> boo
     The lean word's own monomial has coefficient 1 in F2 and +-1 in Z, so
     no element separates above its lean length; a certificate claiming a
     higher degree is rejected before any image is built.
+
+    Without ``n`` the element is read at arity `MAX_STRAND`, so it parses
+    exactly when its strand numbers stay within the token bound; the arity
+    changes nothing else, since neither algebra reads it.
     """
     # The algebras import this module for the certificate type.
     from .algebra_f2 import f2_image
     from .algebra_z import z_image
 
     try:
-        if n is None:
-            n = _infer_arity(cert)
-        word = parse_diagram_word(cert.element, n)
+        word = parse_diagram_word(cert.element, MAX_STRAND if n is None else n)
     except ValueError:
         return False
     letters = kernels.lean_reduce(word.letters)

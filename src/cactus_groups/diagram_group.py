@@ -22,28 +22,11 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import kernels
-from .cactus_core import diagram_of, invert_permutation, is_pure, word_permutation
-from .words import (
-    CactusGenerator,
-    CactusWord,
-    DiagramWord,
-    chord_mask,
-    chord_members,
-    format_chord,
-    format_diagram_word,
-    parse_diagram_word,
-)
+from .cactus_core import _walk, diagram_of, is_pure
+from .words import CactusGenerator, CactusWord, DiagramWord, chord_mask, chord_members
 
 __all__ = [
-    "DiagramWord",
-    "chord_mask",
-    "chord_members",
-    "format_chord",
-    "format_diagram_word",
-    "parse_diagram_word",
-    "commute",
     "is_lean",
-    "lean_reduce",
     "lex_normal_form",
     "equal_diagrams",
     "delta",
@@ -56,15 +39,6 @@ __all__ = [
 ]
 
 
-def commute(i_mask: int, j_mask: int) -> bool:
-    """True iff the chords are nested or disjoint.
-
-    >>> commute(0b011, 0b111), commute(0b011, 0b110)
-    (True, False)
-    """
-    return kernels.commutes(i_mask, j_mask)
-
-
 def is_lean(w: DiagramWord) -> bool:
     """True iff no commutation sequence creates an adjacent equal pair."""
     return kernels.is_lean(w.letters)
@@ -73,7 +47,7 @@ def is_lean(w: DiagramWord) -> bool:
 def lex_normal_form(w: DiagramWord) -> DiagramWord:
     """Canonical representative: the lean word of the element, least in its
     commutation class.  Two words get equal normal forms iff they represent
-    the same element; `lean_reduce` is another name for this function.
+    the same element.
 
     Letters are appended one at a time, each cancelling the nearest equal
     letter it reaches across commuting letters, so no equal pair is left
@@ -82,11 +56,6 @@ def lex_normal_form(w: DiagramWord) -> DiagramWord:
     ones appended last.
     """
     return DiagramWord(w.n, kernels.lean_reduce(w.letters))
-
-
-# Bound after the definition, so that the function's first name is
-# `lex_normal_form` wherever names are read in module order.
-lean_reduce = lex_normal_form
 
 
 def equal_diagrams(w1: DiagramWord, w2: DiagramWord) -> bool:
@@ -134,7 +103,7 @@ def gamma_circ_projection(w: CactusWord) -> tuple:
     """Parity vector of a pure word over the chords with more than two
     strands, in ascending mask order.
 
-    >>> from .cactus_core import parse_cactus_word
+    >>> from .words import parse_cactus_word
     >>> gamma_circ_projection(parse_cactus_word("s1,2 s1,3 " * 3, 3))
     (1,)
     """
@@ -214,8 +183,8 @@ def construct_pure_generator(n: int, chord: int | Iterable[int]) -> CactusWord:
     gather = [CactusGenerator(i, i + 1) for i in reversed(_sort_swaps(list(target)))]
     letters = gather + [CactusGenerator(1, k)]
 
-    assign = invert_permutation(word_permutation(CactusWord(m, tuple(letters))))
-    letters += [CactusGenerator(i, i + 1) for i in _sort_swaps(list(assign))]
+    # the walk's final assignment; sorting its label bits sorts the labels
+    letters += [CactusGenerator(i, i + 1) for i in _sort_swaps(_walk(letters)[1])]
 
     word = CactusWord(n, tuple(letters))
     if not is_pure(word):

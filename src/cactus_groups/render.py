@@ -14,29 +14,15 @@ from .words import CactusGenerator, CactusWord, DiagramWord, chord_members
 MAX_STRANDS = 26
 
 
-def _bar_row(n: int) -> str:
-    return " ".join("|" * n)
-
-
-def _cactus_row(p: int, q: int, n: int) -> str:
-    chars = []
-    for col in range(2 * n - 1):
-        strand = col // 2 + 1
-        if col % 2 == 0:
-            chars.append("X" if p <= strand <= q else "|")
-        else:
-            chars.append("-" if p <= strand < q else " ")
-    return "".join(chars)
-
-
-def _chord_row(mask: int, n: int) -> str:
-    members = chord_members(mask)
+def _row(members, mark: str, n: int) -> str:
+    """One letter's row: ``mark`` on each member strand, ``|`` on the
+    others, and ``-`` joining the first member to the last."""
     lo, hi = members[0], members[-1]
     chars = []
     for col in range(2 * n - 1):
         strand = col // 2 + 1
         if col % 2 == 0:
-            chars.append("*" if strand in members else "|")
+            chars.append(mark if strand in members else "|")
         else:
             chars.append("-" if lo <= strand < hi else " ")
     return "".join(chars)
@@ -56,14 +42,9 @@ def render_ascii(w: CactusWord | DiagramWord) -> str:
     """
     if w.n > MAX_STRANDS:
         raise ValueError(f"cannot render more than {MAX_STRANDS} strands, got {w.n}")
-    bar = _bar_row(w.n)
-    rows = [bar]
     if isinstance(w, CactusWord):
-        for p, q in w.letters:
-            rows.append(_cactus_row(p, q, w.n))
-            rows.append(bar)
+        rows = [_row(range(p, q + 1), "X", w.n) for p, q in w.letters]
     else:
-        for mask in w.letters:
-            rows.append(_chord_row(mask, w.n))
-            rows.append(bar)
-    return "\n".join(rows)
+        rows = [_row(chord_members(mask), "*", w.n) for mask in w.letters]
+    bar = " ".join("|" * w.n)
+    return bar + "".join(f"\n{row}\n{bar}" for row in rows)

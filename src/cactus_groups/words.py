@@ -36,8 +36,9 @@ Strand numbers in tokens are bounded by `MAX_STRAND`, independently of the
 arity: the strand walk and the chord masks take memory that grows with the
 largest strand number, which a short token could otherwise make huge.
 
-This module owns the types and the parsing/printing; `cactus_core` and
-`diagram_group` re-export them alongside the group operations.
+This module is the one home of the types and the parsing/printing; the
+package root exports them too, and the group modules import them from
+here.
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ def chord_members(mask: int) -> tuple[int, ...]:
     >>> chord_members(0b1011)
     (1, 2, 4)
     """
+    if mask < 0:
+        raise ValueError(f"chord mask must be nonnegative, got {mask}")
     out = []
     i = 1
     while mask:

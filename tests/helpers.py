@@ -183,6 +183,29 @@ def reference_label_walk(w):
     return DiagramWord(w.n, tuple(chords)), assign
 
 
+def identity_permutation(n):
+    return tuple(range(1, n + 1))
+
+
+def compose_permutations(a, b):
+    """Apply ``a``, then ``b``; entry i - 1 of each is the destination of i."""
+    return tuple(b[a[i] - 1] for i in range(len(a)))
+
+
+def invert_permutation(a):
+    inv = [0] * len(a)
+    for i, img in enumerate(a):
+        inv[img - 1] = i + 1
+    return tuple(inv)
+
+
+def generator_permutation(g, n):
+    """The interval reversal i -> p+q-i on [p,q], identity elsewhere."""
+    if not 1 <= g.p < g.q <= n:
+        raise ValueError(f"invalid generator s_{{{g.p},{g.q}}} for arity {n}")
+    return tuple(g.p + g.q - i if g.p <= i <= g.q else i for i in range(1, n + 1))
+
+
 def reference_parse_cactus_word(text, n):
     """Token-by-token parser: every token is validated where it stands."""
     letters = []

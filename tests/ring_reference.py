@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 from typing import Literal
 
-from cactus_groups.algebra_f2 import F2Series, f2_one
-from cactus_groups.algebra_z import ZSeries, z_one
+from cactus_groups.algebra_f2 import F2Series
+from cactus_groups.algebra_z import ZSeries
 from helpers import reference_canonical_if_lean, reference_lex_least
 
 
@@ -41,6 +41,22 @@ def monomial_multiply(a: tuple, b: tuple, degree: int):
         return OVERFLOW
     mono = reference_canonical_if_lean(a + b)
     return ZERO if mono is None else mono
+
+
+def f2_one(degree: int) -> F2Series:
+    return F2Series(degree, frozenset([()]))
+
+
+def z_one(degree: int) -> ZSeries:
+    return ZSeries(degree, {(): 1})
+
+
+def f2_homogeneous_component(x: F2Series, d: int) -> frozenset:
+    return frozenset(m for m in x.support if len(m) == d)
+
+
+def z_homogeneous_component(x: ZSeries, d: int) -> dict:
+    return {m: c for m, c in x.coeffs.items() if len(m) == d}
 
 
 def f2_add(x: F2Series, y: F2Series) -> F2Series:
@@ -85,12 +101,13 @@ def z_add(x: ZSeries, y: ZSeries) -> ZSeries:
     acc = dict(x.coeffs)
     for mono, c in y.coeffs.items():
         acc[mono] = acc.get(mono, 0) + c
-    return ZSeries(x.degree, acc)
+    return ZSeries(x.degree, {m: c for m, c in acc.items() if c})
 
 
 def z_multiply(x: ZSeries, y: ZSeries) -> ZSeries:
     """Distributive product: concatenations canonicalised, like terms
-    combined over the integers, terms above the truncation degree dropped.
+    combined over the integers, zero terms and terms above the truncation
+    degree dropped.
     """
     if x.degree != y.degree:
         raise ValueError(f"degree mismatch: {x.degree} != {y.degree}")
@@ -100,7 +117,7 @@ def z_multiply(x: ZSeries, y: ZSeries) -> ZSeries:
             if len(ma) + len(mb) <= x.degree:
                 mono = reference_lex_least(ma + mb)
                 acc[mono] = acc.get(mono, 0) + ca * cb
-    return ZSeries(x.degree, acc)
+    return ZSeries(x.degree, {m: c for m, c in acc.items() if c})
 
 
 def generator_factor(mask: int, occurrence_parity: Literal["odd", "even"], degree: int) -> ZSeries:

@@ -2,18 +2,19 @@ import pytest
 
 from cactus_groups import kernels
 from cactus_groups.algebra_f2 import f2_image
-from cactus_groups.algebra_z import (
-    ZSeries,
-    homogeneous_component,
-    tfn_separation,
-    z_image,
-    z_one,
-)
+from cactus_groups.algebra_z import ZSeries, tfn_separation, z_image
 from cactus_groups.certificates import RING_Z
 from cactus_groups.words import DiagramWord, parse_diagram_word
 from helpers import random_even_lean_word, random_even_word
 from oracle import relation_neighbors
-from ring_reference import generator_factor, z_add, z_inverse, z_multiply
+from ring_reference import (
+    generator_factor,
+    z_add,
+    z_homogeneous_component,
+    z_inverse,
+    z_multiply,
+    z_one,
+)
 
 A = 3  # t over strands {1,2}
 B = 5  # t over strands {1,3}
@@ -25,21 +26,14 @@ def dw(text, n=3):
     return parse_diagram_word(text, n)
 
 
-def test_zseries_normalizes_on_construction():
-    x = ZSeries(2, {(12, A): 1, (A, 12): 2})
-    assert dict(x.coeffs) == {(A, 12): 3}
-    assert dict(ZSeries(2, {(A,): 0}).coeffs) == {}
-    with pytest.raises(ValueError):
-        ZSeries(2, {(A, A, A): 1})
+def test_zseries_keeps_its_terms_read_only():
+    terms = {(A, 12): 3}
+    x = ZSeries(2, terms)
+    assert x.coeffs == terms and x.coeffs is not terms
+    with pytest.raises(TypeError):
+        x.coeffs[(A,)] = 1
     with pytest.raises(ValueError):
         ZSeries(0, {})
-
-
-def test_zseries_coefficient_canonicalizes_queries():
-    x = ZSeries(2, {(A, 12): 5})
-    assert x.coefficient((12, A)) == 5
-    assert x.coefficient((A, 12)) == 5
-    assert x.coefficient((A,)) == 0
 
 
 def test_z_one_and_add():
@@ -149,9 +143,9 @@ def test_cross_ring_consistency(rng):
 
 def test_homogeneous_component():
     x = ZSeries(3, {(): 1, (A,): 2, (A, B): -3})
-    assert homogeneous_component(x, 0) == {(): 1}
-    assert homogeneous_component(x, 2) == {(A, B): -3}
-    assert homogeneous_component(x, 3) == {}
+    assert z_homogeneous_component(x, 0) == {(): 1}
+    assert z_homogeneous_component(x, 2) == {(A, B): -3}
+    assert z_homogeneous_component(x, 3) == {}
 
 
 def test_z_inverse(rng):
@@ -176,7 +170,7 @@ def test_tfn_separation_alternating_word():
 
 
 def test_tfn_separation_top_coefficient_sign():
-    assert z_image(dw(ALT), 4).coefficient((A, B, A, B)) == 1
+    assert z_image(dw(ALT), 4).coeffs[(A, B, A, B)] == 1
 
 
 def test_tfn_separation_trivial_and_parity_errors():
@@ -194,7 +188,7 @@ def test_coefficient_law(rng):
         u = random_even_lean_word(rng, n, pairs)
         d = len(u)
         canonical = kernels.lex_least(u.letters)
-        assert z_image(u, d).coefficient(canonical) == (-1) ** (d // 2)
+        assert z_image(u, d).coeffs.get(canonical) == (-1) ** (d // 2)
 
 
 def test_witness_scaling(rng):
@@ -207,5 +201,5 @@ def test_witness_scaling(rng):
         want = dict(cert.witness)
         for m in (2, 3, 4):
             repeated = DiagramWord(n, u.letters * m)
-            got = homogeneous_component(z_image(repeated, cert.degree), cert.degree)
+            got = z_homogeneous_component(z_image(repeated, cert.degree), cert.degree)
             assert got == {mono: m * c for mono, c in want.items()}

@@ -1,16 +1,6 @@
 import pytest
 
-from cactus_groups.cactus_core import (
-    compose_permutations,
-    diagram_of,
-    equal_in_Jn,
-    generator_permutation,
-    identity_permutation,
-    inverse_word,
-    invert_permutation,
-    is_pure,
-    word_permutation,
-)
+from cactus_groups.cactus_core import diagram_of, equal_in_Jn, inverse_word, is_pure, word_permutation
 from cactus_groups.diagram_group import in_gamma_circ
 from cactus_groups.words import (
     CactusGenerator,
@@ -20,7 +10,16 @@ from cactus_groups.words import (
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import all_generators, peak_bytes, random_cactus_word, reference_label_walk
+from helpers import (
+    all_generators,
+    compose_permutations,
+    generator_permutation,
+    identity_permutation,
+    invert_permutation,
+    peak_bytes,
+    random_cactus_word,
+    reference_label_walk,
+)
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 
@@ -40,7 +39,7 @@ def test_identity_and_inverse_permutations():
     ],
 )
 def test_generator_permutation(g, n, expected):
-    assert generator_permutation(g, n) == expected
+    assert word_permutation(CactusWord(n, (g,))) == generator_permutation(g, n) == expected
 
 
 def test_word_permutation_examples():

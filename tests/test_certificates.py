@@ -4,8 +4,7 @@ import pytest
 
 from cactus_groups import algebra_f2, algebra_z, kernels
 from cactus_groups.algebra_f2 import f2_image, nilpotent_separation
-from cactus_groups.algebra_f2 import homogeneous_component as homogeneous_component_f2
-from cactus_groups.algebra_z import homogeneous_component, tfn_separation, z_image
+from cactus_groups.algebra_z import tfn_separation, z_image
 from cactus_groups.certificates import (
     RING_F2,
     RING_Z,
@@ -23,6 +22,7 @@ from helpers import (
     random_even_word,
     random_lean_word,
 )
+from ring_reference import f2_homogeneous_component, z_homogeneous_component
 from walk_reference import expand_f2, expand_z
 
 ALT = "t{1,2} t{1,3} t{1,2} t{1,3}"
@@ -87,6 +87,18 @@ def test_verify_accepts_explicit_arity():
     assert verify_certificate(cert, n=5)
 
 
+# The element is read at arity MAX_STRAND.  Each one reduces to t{1,2}, so
+# it verifies exactly when its repeated chord parses.
+@pytest.mark.parametrize(
+    "strand, verified",
+    [("4096", True), ("4097", False), ("a", False), ("9" * 5000, False)],
+    ids=["4096", "4097", "letter", "5000-digits"],
+)
+def test_verify_reads_the_element_up_to_the_strand_bound(strand, verified):
+    element = f"t{{1,2}} t{{{strand}}} t{{{strand}}}"
+    assert verify_certificate(SeparationCertificate(element, RING_F2, 1, (((3,), 1),))) is verified
+
+
 def test_verify_rejects_tampered_witness():
     cert = f2_cert(ALT)
     extra = SeparationCertificate(
@@ -112,7 +124,7 @@ def test_verify_rejects_tampered_sign():
 
 def test_verify_rejects_non_minimal_degree():
     # the degree-4 component is correct, but the minimal degree is 2
-    top = homogeneous_component(z_image(dw(ALT), 4), 4)
+    top = z_homogeneous_component(z_image(dw(ALT), 4), 4)
     cert = SeparationCertificate(ALT, RING_Z, 4, tuple(sorted(top.items())))
     assert not verify_certificate(cert)
 
@@ -148,6 +160,7 @@ def test_an_element_strand_past_the_bound_verifies_false_without_allocating():
 def test_verify_rejects_trivial_element():
     cert = SeparationCertificate("t{1,2} t{1,2}", RING_F2, 1, (((3,), 1),))
     assert not verify_certificate(cert)
+    assert not verify_certificate(SeparationCertificate("", RING_F2, 1, (((3,), 1),)))
 
 
 def test_verify_rejects_odd_parity_z_element():
@@ -193,11 +206,11 @@ def test_expansions_match_the_images(rng):
         k = rng.randrange(1, len(w) + 1)
         f2 = expand_f2(w.letters, k)
         image = f2_image(w, k)
-        assert all(f2[d] == homogeneous_component_f2(image, d) for d in range(1, k + 1))
+        assert all(f2[d] == f2_homogeneous_component(image, d) for d in range(1, k + 1))
         even = random_even_word(rng, n, rng.randrange(1, 4))
         z = expand_z(kernels.lean_reduce(even.letters), k)
         zimage = z_image(even, k)
-        assert all(z[d] == homogeneous_component(zimage, d) for d in range(1, k + 1))
+        assert all(z[d] == z_homogeneous_component(zimage, d) for d in range(1, k + 1))
 
 
 def graded(terms, k):
@@ -219,7 +232,7 @@ def test_graded_components_match_the_walks_and_the_images(rng):
             walk = expand_f2(w.letters, k)
             image = f2_image(w, k)
             for d in range(1, k + 1):
-                assert set(comps[d]) == walk[d] == homogeneous_component_f2(image, d)
+                assert set(comps[d]) == walk[d] == f2_homogeneous_component(image, d)
                 assert set(comps[d].values()) <= {1}
         # every chord of an even word occurs an even number of times, lean or not
         for w in (
@@ -231,7 +244,7 @@ def test_graded_components_match_the_walks_and_the_images(rng):
             walk = expand_z(w.letters, k)
             image = z_image(w, k)
             for d in range(1, k + 1):
-                assert comps[d] == walk[d] == homogeneous_component(image, d)
+                assert comps[d] == walk[d] == z_homogeneous_component(image, d)
 
 
 def separate_by_images(w, image):

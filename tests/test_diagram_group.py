@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactus_groups.cactus_core import diagram_of, inverse_word, is_pure
+from cactus_groups.cactus_core import diagram_of, inverse_word, is_pure, word_permutation
 from cactus_groups.diagram_group import (
     MAX_PROJECTION_ARITY,
+    _sort_swaps,
     big_chord_sets,
-    commute,
     construct_pure_generator,
     delta,
     equal_diagrams,
@@ -14,18 +14,19 @@ from cactus_groups.diagram_group import (
     in_even_subgroup,
     in_gamma_circ,
     is_lean,
-    lean_reduce,
     lex_normal_form,
     projection_dimension,
 )
 from cactus_groups.words import (
+    CactusGenerator,
     CactusWord,
     DiagramWord,
     chord_mask,
+    chord_members,
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import peak_bytes, random_cactus_word
+from helpers import invert_permutation, peak_bytes, random_cactus_word
 from oracle import relation_neighbors
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
@@ -33,12 +34,6 @@ WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 
 def dw(text, n=3):
     return parse_diagram_word(text, n)
-
-
-def test_commute_examples():
-    assert commute(chord_mask([1, 2], 3), chord_mask([1, 2, 3], 3))
-    assert commute(chord_mask([1, 2], 4), chord_mask([3, 4], 4))
-    assert not commute(chord_mask([1, 2], 3), chord_mask([2, 3], 3))
 
 
 def test_is_lean_examples():
@@ -49,13 +44,12 @@ def test_is_lean_examples():
 
 
 def test_lean_reduce_examples():
-    assert lean_reduce is lex_normal_form
-    assert lean_reduce(dw("t{1,2} t{1,2}")) == dw("")
-    assert lean_reduce(
+    assert lex_normal_form(dw("t{1,2} t{1,2}")) == dw("")
+    assert lex_normal_form(
         dw("t{1,2} t{1,2,3} t{1,3} t{1,2,3} t{2,3} t{1,2,3}")
     ) == dw("t{1,2} t{1,3} t{2,3} t{1,2,3}")
     w = dw("t{1,2} t{1,3} t{1,2} t{1,3}")
-    assert lean_reduce(w) == w
+    assert lex_normal_form(w) == w
 
 
 def test_lex_normal_form_examples():
@@ -205,6 +199,20 @@ def test_construct_pure_generator_memory_follows_the_chord(chord):
     out = []
     assert peak_bytes(lambda: out.append(construct_pure_generator(200000, chord))) < 1 << 16
     assert out == [CactusWord(200000, letters)]
+
+
+def test_construct_pure_generator_sorts_the_walks_assignment():
+    # reference: the final bubble sort read off the inverse of the permutation
+    for n in range(3, 8):
+        for mask in big_chord_sets(n):
+            members = list(chord_members(mask))
+            m = members[-1]
+            target = members + [i for i in range(1, m + 1) if i not in members]
+            letters = [CactusGenerator(i, i + 1) for i in reversed(_sort_swaps(target))]
+            letters.append(CactusGenerator(1, len(members)))
+            assign = invert_permutation(word_permutation(CactusWord(m, tuple(letters))))
+            letters += [CactusGenerator(i, i + 1) for i in _sort_swaps(list(assign))]
+            assert construct_pure_generator(n, mask) == CactusWord(n, tuple(letters))
 
 
 def test_construct_pure_generator_rejects_small_chords():

@@ -226,6 +226,13 @@ def test_chord_mask_rejects_bad_input():
         chord_mask([0], 3)
 
 
+@pytest.mark.parametrize("mask", [-1, -6])
+@pytest.mark.parametrize("spell", [chord_members, format_chord])
+def test_negative_masks_are_refused(spell, mask):
+    with pytest.raises(ValueError, match="nonnegative"):
+        spell(mask)
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         CactusWord(0, ())
