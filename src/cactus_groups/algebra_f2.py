@@ -44,16 +44,6 @@ class F2Series:
         if any(len(m) > self.degree for m in self.support):
             raise ValueError("monomial exceeds truncation degree")
 
-    @property
-    def constant_term(self) -> int:
-        return 1 if () in self.support else 0
-
-    def is_one(self) -> bool:
-        return self.support == frozenset([()])
-
-    def terms(self) -> tuple:
-        """Nonconstant (monomial, coefficient) pairs, sorted by monomial."""
-        return tuple(sorted((m, 1) for m in self.support if m))
 
 
 def f2_image(w: DiagramWord, degree: int) -> F2Series:

@@ -46,16 +46,6 @@ class ZSeries:
             raise ValueError("truncation degree must be at least 1")
         object.__setattr__(self, "coeffs", MappingProxyType(self.coeffs))
 
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs.get((), 0)
-
-    def is_one(self) -> bool:
-        return dict(self.coeffs) == {(): 1}
-
-    def terms(self) -> tuple:
-        """Nonconstant (monomial, coefficient) pairs, sorted by monomial."""
-        return tuple(sorted((m, c) for m, c in self.coeffs.items() if m))
 
 
 def z_image(w: DiagramWord, degree: int) -> ZSeries:

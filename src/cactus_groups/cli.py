@@ -6,18 +6,22 @@ decision, 1 for a negative decision (false answers, failed separations),
 answer), 141 (128 + SIGPIPE) when the reader closed stdout before the
 output was written, as ``| head`` does.
 
-A call that names a verb is parsed by that verb's parser alone; the
-top-level parser reads only calls without a known verb, and ``-h``.
+The verbs and their options are described once, in ``_VERBS``.  A plain
+call (exact option names, each followed by its value) is read straight
+from that table without loading argparse; every other call, help and
+usage errors included, goes to argparse parsers built from the same
+table: a call that names a verb to that verb's parser, the rest to the
+top-level parser.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from .algebra_f2 import nilpotent_separation
 from .algebra_z import tfn_separation
@@ -53,6 +57,9 @@ from .words import (
     parse_diagram_word,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 
 def _fmt_vector(values: Sequence[int]) -> str:
     return "[" + ",".join(str(v) for v in values) + "]"
@@ -67,7 +74,7 @@ def _decision(value: bool) -> int:
 _PERM_CHUNK = 1 << 12
 
 
-def _cmd_perm(args: argparse.Namespace) -> int:
+def _cmd_perm(args: SimpleNamespace) -> int:
     w = parse_cactus_word(args.word, args.n)
     # The permutation is the identity past the largest q: write the moved
     # prefix, then the tail in chunks, so memory follows the word, not n.
@@ -81,45 +88,45 @@ def _cmd_perm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_is_pure(args: argparse.Namespace) -> int:
+def _cmd_is_pure(args: SimpleNamespace) -> int:
     return _decision(is_pure(parse_cactus_word(args.word, args.n)))
 
 
-def _cmd_eq(args: argparse.Namespace) -> int:
+def _cmd_eq(args: SimpleNamespace) -> int:
     g = parse_cactus_word(args.word1, args.n)
     h = parse_cactus_word(args.word2, args.n)
     return _decision(equal_in_Jn(g, h))
 
 
-def _cmd_diagram(args: argparse.Namespace) -> int:
+def _cmd_diagram(args: SimpleNamespace) -> int:
     w = parse_cactus_word(args.word, args.n)
     print(format_diagram_word(diagram_of(w)))
     return 0
 
 
-def _cmd_nf(args: argparse.Namespace) -> int:
+def _cmd_nf(args: SimpleNamespace) -> int:
     w = parse_diagram_word(args.word, args.n)
     print(format_diagram_word(lex_normal_form(w)))
     return 0
 
 
-def _cmd_deq(args: argparse.Namespace) -> int:
+def _cmd_deq(args: SimpleNamespace) -> int:
     g = parse_diagram_word(args.word1, args.n)
     h = parse_diagram_word(args.word2, args.n)
     return _decision(equal_diagrams(g, h))
 
 
-def _cmd_delta(args: argparse.Namespace) -> int:
+def _cmd_delta(args: SimpleNamespace) -> int:
     w = parse_diagram_word(args.word, args.n)
     print(format_diagram_word(DiagramWord(w.n, tuple(sorted(delta(w))))))
     return 0
 
 
-def _cmd_gamma0(args: argparse.Namespace) -> int:
+def _cmd_gamma0(args: SimpleNamespace) -> int:
     return _decision(in_gamma_circ(parse_cactus_word(args.word, args.n)))
 
 
-def _cmd_project(args: argparse.Namespace) -> int:
+def _cmd_project(args: SimpleNamespace) -> int:
     w = parse_cactus_word(args.word, args.n)
     print(_fmt_vector(gamma_circ_projection(w)))
     return 0
@@ -137,14 +144,14 @@ def _parse_single_chord(text: str, n: int) -> int:
     return w.letters[0]
 
 
-def _cmd_make_generator(args: argparse.Namespace) -> int:
+def _cmd_make_generator(args: SimpleNamespace) -> int:
     mask = _parse_single_chord(args.chord, args.n)
     w = construct_pure_generator(args.n, mask)
     print(format_cactus_word(w))
     return 0
 
 
-def _cmd_separate(args: argparse.Namespace) -> int:
+def _cmd_separate(args: SimpleNamespace) -> int:
     w = parse_diagram_word(args.word, args.n)
     ring = RING_F2 if args.ring == "f2" else RING_Z
     separate = nilpotent_separation if args.ring == "f2" else tfn_separation
@@ -171,12 +178,12 @@ def _cmd_separate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     text = sys.stdin.read() if args.certificate == "-" else args.certificate
     return _decision(verify_certificate(SeparationCertificate.from_json(text)))
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: SimpleNamespace) -> int:
     tokens = args.word.split()
     if tokens and tokens[0].startswith("t"):
         w = parse_diagram_word(args.word, args.n)
@@ -186,91 +193,128 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_n(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help="number of strands")
+class _Option(NamedTuple):
+    """A verb's ``--flag VALUE`` option, in ``add_argument``'s terms."""
+
+    flag: str
+    type: Callable[[str], Any] | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    default: Any = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")  # as argparse derives it
+
+
+_N = _Option("--n", int, required=True, help="number of strands")
+_WORD = ("word", None)
+
+# verb -> (help, command, options, positionals as (name, help))
+_VERBS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple, tuple]] = {
+    "perm": ("permutation induced by a cactus word", _cmd_perm, (_N,), (_WORD,)),
+    "is-pure": (
+        "does the cactus word induce the identity permutation", _cmd_is_pure, (_N,), (_WORD,)
+    ),
+    "eq": (
+        "are two cactus words equal in the group", _cmd_eq, (_N,),
+        (("word1", None), ("word2", None)),
+    ),
+    "diagram": ("chord-diagram image of a cactus word", _cmd_diagram, (_N,), (_WORD,)),
+    "nf": ("lexicographic lean normal form of a diagram word", _cmd_nf, (_N,), (_WORD,)),
+    "deq": (
+        "are two diagram words equal in the group", _cmd_deq, (_N,),
+        (("word1", None), ("word2", None)),
+    ),
+    "delta": ("chords met an odd number of times", _cmd_delta, (_N,), (_WORD,)),
+    "gamma0": (
+        "is the cactus word pure with an all-even diagram", _cmd_gamma0, (_N,), (_WORD,)
+    ),
+    "project": ("parity vector of a pure cactus word", _cmd_project, (_N,), (_WORD,)),
+    "make-generator": (
+        "pure cactus word whose only large chord is the given one", _cmd_make_generator,
+        (_N,), (("chord", "chord token such as t{1,2,3}"),),
+    ),
+    "separate": (
+        "separation certificate for a diagram word", _cmd_separate,
+        (
+            _N,
+            _Option("--ring", choices=("f2", "z"), required=True),
+            _Option("--max-degree", int, help="degree cap for the search"),
+        ),
+        (_WORD,),
+    ),
+    "verify": (
+        "re-check a separation certificate", _cmd_verify, (),
+        (("certificate", "certificate JSON, or - to read it from stdin"),),
+    ),
+    "render": (
+        "ASCII picture of a cactus or diagram word", _cmd_render,
+        (_N, _Option("--format", choices=("ascii",), default="ascii")), (_WORD,),
+    ),
+}
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The arguments of a plain call, read from the verb table: exactly what
+    the verb's argparse parser would give.  None for every call that is not
+    plain (``-h``, ``--``, ``--opt=value``, an abbreviation, a value that
+    starts with ``-`` or does not convert, a missing or extra argument, an
+    unknown verb, ``verify -``): argparse reads those.  A repeated option
+    keeps its last value, as in argparse."""
+    entry = _VERBS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, func, options, positionals = entry
+    flags = {option.flag: option for option in options}
+    values: dict[str, Any] = {}
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        option = flags.get(token)
+        value = next(tokens, "-")  # a missing value reads as one that starts with -
+        if option is None or value.startswith("-"):
+            return None
+        try:
+            value = option.type(value) if option.type else value
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if len(words) != len(positionals) or any(
+        option.required and option.dest not in values for option in options
+    ):
+        return None
+    args = {option.dest: values.get(option.dest, option.default) for option in options}
+    args.update(zip((name for name, _ in positionals), words))
+    return SimpleNamespace(**args, func=func)
 
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each verb's own parser by verb name."""
+    """The top-level parser, and each verb's own parser by verb name, built
+    from the verb table.  Only calls that ``_read`` leaves load argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cactus",
         description="Word problems, parity maps, and separation certificates "
         "for cactus groups and their chord-diagram quotients.",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    p = subs.add_parser("perm", help="permutation induced by a cactus word")
-    _add_n(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_perm)
-
-    p = subs.add_parser("is-pure", help="does the cactus word induce the identity permutation")
-    _add_n(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_is_pure)
-
-    p = subs.add_parser("eq", help="are two cactus words equal in the group")
-    _add_n(p)
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.set_defaults(func=_cmd_eq)
-
-    p = subs.add_parser("diagram", help="chord-diagram image of a cactus word")
-    _add_n(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_diagram)
-
-    p = subs.add_parser("nf", help="lexicographic lean normal form of a diagram word")
-    _add_n(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_nf)
-
-    p = subs.add_parser("deq", help="are two diagram words equal in the group")
-    _add_n(p)
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.set_defaults(func=_cmd_deq)
-
-    p = subs.add_parser("delta", help="chords met an odd number of times")
-    _add_n(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_delta)
-
-    p = subs.add_parser("gamma0", help="is the cactus word pure with an all-even diagram")
-    _add_n(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_gamma0)
-
-    p = subs.add_parser("project", help="parity vector of a pure cactus word")
-    _add_n(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_project)
-
-    p = subs.add_parser(
-        "make-generator", help="pure cactus word whose only large chord is the given one"
-    )
-    _add_n(p)
-    p.add_argument("chord", help="chord token such as t{1,2,3}")
-    p.set_defaults(func=_cmd_make_generator)
-
-    p = subs.add_parser("separate", help="separation certificate for a diagram word")
-    _add_n(p)
-    p.add_argument("--ring", choices=["f2", "z"], required=True)
-    p.add_argument("--max-degree", type=int, default=None, help="degree cap for the search")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_separate)
-
-    p = subs.add_parser("verify", help="re-check a separation certificate")
-    p.add_argument("certificate", help="certificate JSON, or - to read it from stdin")
-    p.set_defaults(func=_cmd_verify)
-
-    p = subs.add_parser("render", help="ASCII picture of a cactus or diagram word")
-    _add_n(p)
-    p.add_argument("--format", choices=["ascii"], default="ascii")
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_render)
-
+    for verb, (text, func, options, positionals) in _VERBS.items():
+        sub = subs.add_parser(verb, help=text)
+        for option in options:
+            kwargs = option._asdict()
+            sub.add_argument(kwargs.pop("flag"), **kwargs)
+        for name, text in positionals:
+            sub.add_argument(name, help=text)
+        sub.set_defaults(func=func)
     return parser, subs.choices
 
 
@@ -292,16 +336,22 @@ def _silence_stdout() -> None:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command; returns the exit code instead of exiting."""
-    parser, verbs = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # A known verb goes straight to its own parser: one argparse pass, not
-    # two.  Everything else (no verb, an unknown one, -h) gets the top level.
-    sub = verbs.get(argv[0]) if argv else None
-    try:
-        args = sub.parse_args(argv[1:]) if sub else parser.parse_args(argv)
-    except SystemExit as exc:  # a usage error, or help printed
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read(argv)
+    if args is None:
+        # A known verb goes to its own parser: one argparse pass, not two.
+        # Everything else (no verb, an unknown one, -h) gets the top level.
+        parser, verbs = _build_parser()
+        sub = verbs.get(argv[0]) if argv else None
+        try:
+            args = (
+                sub.parse_args(argv[1:], SimpleNamespace())
+                if sub
+                else parser.parse_args(argv, SimpleNamespace())
+            )
+        except SystemExit as exc:  # a usage error, or help printed
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
     except BrokenPipeError:  # the reader closed stdout: not an error of ours

@@ -51,6 +51,32 @@ def z_one(degree: int) -> ZSeries:
     return ZSeries(degree, {(): 1})
 
 
+def f2_constant_term(x: F2Series) -> int:
+    return 1 if () in x.support else 0
+
+
+def z_constant_term(x: ZSeries) -> int:
+    return x.coeffs.get((), 0)
+
+
+def f2_is_one(x: F2Series) -> bool:
+    return x.support == frozenset([()])
+
+
+def z_is_one(x: ZSeries) -> bool:
+    return dict(x.coeffs) == {(): 1}
+
+
+def f2_terms(x: F2Series) -> tuple:
+    """Nonconstant (monomial, coefficient) pairs, sorted by monomial."""
+    return tuple(sorted((m, 1) for m in x.support if m))
+
+
+def z_terms(x: ZSeries) -> tuple:
+    """Nonconstant (monomial, coefficient) pairs, sorted by monomial."""
+    return tuple(sorted((m, c) for m, c in x.coeffs.items() if m))
+
+
 def f2_homogeneous_component(x: F2Series, d: int) -> frozenset:
     return frozenset(m for m in x.support if len(m) == d)
 
@@ -82,7 +108,7 @@ def f2_multiply(x: F2Series, y: F2Series) -> F2Series:
 def f2_inverse(x: F2Series) -> F2Series:
     """Inverse of a series with constant term 1, by the geometric series
     in (x - 1), which is nilpotent under truncation."""
-    if x.constant_term != 1:
+    if f2_constant_term(x) != 1:
         raise ValueError("only series with constant term 1 are inverted here")
     u = F2Series(x.degree, frozenset(m for m in x.support if m))  # x - 1
     acc = f2_one(x.degree)
@@ -139,7 +165,7 @@ def generator_factor(mask: int, occurrence_parity: Literal["odd", "even"], degre
 
 def z_inverse(x: ZSeries) -> ZSeries:
     """Inverse of a series with constant term +-1 via the geometric series."""
-    c = x.constant_term
+    c = z_constant_term(x)
     if c not in (1, -1):
         raise ValueError("only series with constant term +-1 are inverted here")
     # x = c (1 + u) with u of positive degree; sum c (-u)^j.

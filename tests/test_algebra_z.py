@@ -10,8 +10,10 @@ from oracle import relation_neighbors
 from ring_reference import (
     generator_factor,
     z_add,
+    z_constant_term,
     z_homogeneous_component,
     z_inverse,
+    z_is_one,
     z_multiply,
     z_one,
 )
@@ -38,8 +40,8 @@ def test_zseries_keeps_its_terms_read_only():
 
 def test_z_one_and_add():
     one = z_one(3)
-    assert one.is_one()
-    assert one.constant_term == 1
+    assert z_is_one(one)
+    assert z_constant_term(one) == 1
     x = ZSeries(3, {(): 1, (A,): 2})
     y = ZSeries(3, {(A,): -2})
     assert z_add(x, y) == z_one(3)
@@ -50,7 +52,7 @@ def test_z_one_and_add():
 def test_z_multiply_telescopes():
     x = ZSeries(2, {(): 1, (A,): 1})
     y = ZSeries(2, {(): 1, (A,): -1, (A, A): 1})
-    assert z_multiply(x, y).is_one()
+    assert z_is_one(z_multiply(x, y))
 
 
 def test_z_multiply_unit():
@@ -87,15 +89,15 @@ def test_generator_factor_examples():
         (A, A, A): -1,
     }
     pair = z_multiply(generator_factor(A, "odd", 3), generator_factor(A, "even", 3))
-    assert pair.is_one()
+    assert z_is_one(pair)
     with pytest.raises(ValueError):
         generator_factor(A, "sometimes", 3)
 
 
 def test_z_image_examples():
-    assert z_image(dw(""), 3).is_one()
+    assert z_is_one(z_image(dw(""), 3))
     for k in (1, 2, 5):
-        assert z_image(dw("t{1,2} t{1,2}"), k).is_one()
+        assert z_is_one(z_image(dw("t{1,2} t{1,2}"), k))
     assert dict(z_image(dw(ALT), 2).coeffs) == {(): 1, (A, B): 1, (B, A): -1}
 
 
@@ -153,9 +155,9 @@ def test_z_inverse(rng):
         k = rng.randrange(1, 5)
         w = random_even_word(rng, 3, rng.randrange(0, 4))
         x = z_image(w, k)
-        assert z_multiply(x, z_inverse(x)).is_one()
+        assert z_is_one(z_multiply(x, z_inverse(x)))
     minus = ZSeries(2, {(): -1, (A,): 3})
-    assert z_multiply(minus, z_inverse(minus)).is_one()
+    assert z_is_one(z_multiply(minus, z_inverse(minus)))
     with pytest.raises(ValueError):
         z_inverse(ZSeries(2, {(): 2}))
     with pytest.raises(ValueError):

@@ -22,7 +22,14 @@ from helpers import (
     random_even_word,
     random_lean_word,
 )
-from ring_reference import f2_homogeneous_component, z_homogeneous_component
+from ring_reference import (
+    f2_homogeneous_component,
+    f2_is_one,
+    f2_terms,
+    z_homogeneous_component,
+    z_is_one,
+    z_terms,
+)
 from walk_reference import expand_f2, expand_z
 
 ALT = "t{1,2} t{1,3} t{1,2} t{1,3}"
@@ -247,25 +254,25 @@ def test_graded_components_match_the_walks_and_the_images(rng):
                 assert comps[d] == walk[d] == z_homogeneous_component(image, d)
 
 
-def separate_by_images(w, image):
+def separate_by_images(w, image, is_one, terms):
     """The search by whole images, degree 1, 2, ... until one is not 1."""
     lean = DiagramWord(w.n, kernels.lean_reduce(w.letters))
     for k in range(1, len(lean) + 1):
         series = image(lean, k)
-        if not series.is_one():
-            return k, series.terms()
+        if not is_one(series):
+            return k, terms(series)
     raise AssertionError("no separating degree up to the lean length")
 
 
 @pytest.mark.parametrize(
-    "separate, image, words",
+    "separate, image, is_one, terms, words",
     [
-        (nilpotent_separation, f2_image, random_diagram_word),
-        (tfn_separation, z_image, random_even_word),
+        (nilpotent_separation, f2_image, f2_is_one, f2_terms, random_diagram_word),
+        (tfn_separation, z_image, z_is_one, z_terms, random_even_word),
     ],
     ids=["f2", "z"],
 )
-def test_graded_search_matches_the_search_by_images(rng, separate, image, words):
+def test_graded_search_matches_the_search_by_images(rng, separate, image, is_one, terms, words):
     checked = 0
     while checked < 60:
         n = rng.choice([3, 4])
@@ -273,7 +280,7 @@ def test_graded_search_matches_the_search_by_images(rng, separate, image, words)
         if not kernels.lean_reduce(w.letters):
             continue
         checked += 1
-        degree, witness = separate_by_images(w, image)
+        degree, witness = separate_by_images(w, image, is_one, terms)
         cert = separate(w)
         assert (cert.degree, cert.witness) == (degree, witness)
         assert separate(w, max_degree=degree) == cert

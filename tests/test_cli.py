@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -229,8 +230,10 @@ def test_missing_n_is_usage_error(capsys):
     assert code == 2
 
 
-# A call naming a verb is parsed by that verb's parser alone; usage errors,
-# help, option spellings and abbreviations read as with the top-level parser.
+# A plain call is read from the verb table; every other call goes to the
+# argparse parser built from the same table for its verb, or to the
+# top-level parser without one.  Usage errors, help, option spellings and
+# abbreviations read as with the top-level parser.
 @pytest.mark.parametrize(
     "argv, exit_code, expected_out, last_err_line",
     [
@@ -291,6 +294,94 @@ def test_every_verb_has_its_own_parser():
         "make-generator", "separate", "verify", "render",
     ]
     assert all(sub.prog == f"cactus {name}" for name, sub in verbs.items())
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def argparse_namespace(argv):
+    """What argparse makes of argv, as a dict; None for a usage error or help."""
+    parser, verbs = cli._build_parser()
+    sub = verbs.get(argv[0]) if argv else None
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(sub.parse_args(argv[1:]) if sub else parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def spellings(argv):
+    """Other spellings of a call: argparse accepts some, and rejects others."""
+    verb, rest = argv[0], argv[1:]
+    options, positionals, tokens = [], [], iter(rest)
+    for token in tokens:
+        if token.startswith("--"):
+            options += [token, next(tokens)]
+        else:
+            positionals.append(token)
+    i = rest.index("--n")
+    n = rest[i + 1]
+    yield [verb, *rest[:i], f"--n={n}", *rest[i + 2:]]
+    yield [verb, *positionals, *options]
+    yield [*argv, "--n", str(int(n) + 1)]  # argparse keeps the last value
+    yield from ([verb, *rest[:i + 1], bad, *rest[i + 2:]] for bad in ("-3", "x", ""))
+    if "--ring" in rest:
+        r = rest.index("--ring")
+        yield [verb, *rest[:r], "--ri", *rest[r + 1:]]
+        yield [verb, *rest[:r + 1], "q", *rest[r + 2:]]
+        yield [verb, "--max-degree", "2", *rest]
+    yield [verb, "--", *rest]
+    yield ["--", *argv]
+    yield [verb, "-h", *rest]
+    yield argv[:-1]
+    yield [*argv, "x"]
+
+
+# The reader must give what the verb's parser gives, or leave the call to it.
+def test_the_reader_agrees_with_argparse(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    plain = [
+        list(op.inputs)
+        for seed in (1, 2, 3)
+        for op in workloads.WORKLOADS["cli-mixed"].build(seed, 1200)
+    ]
+    for argv in plain:
+        read, expected = cli._read(argv), argparse_namespace(argv)
+        # a call argparse accepts as spelled here is always a plain one
+        assert (vars(read) if read else None) == expected, argv
+        for variant in spellings(argv):
+            read = cli._read(variant)
+            assert read is None or vars(read) == argparse_namespace(variant), variant
+    assert cli._read(["verify", "-"]) is None
+
+
+# Only a call the reader leaves loads argparse (and gettext with it).
+@pytest.mark.parametrize(
+    "argv, exit_code, loaded, err_end",
+    [
+        (("nf", "--n", "3", "t{1,2}"), 0, False, ""),
+        (("eq", "--n", "3", "s1,2"), 2, True,
+         "cactus eq: error: the following arguments are required: word2\n"),
+    ],
+    ids=["plain", "usage error"],
+)
+def test_argparse_is_loaded_only_for_calls_the_reader_leaves(argv, exit_code, loaded, err_end):
+    script = (
+        "import sys\n"
+        "from cactus_groups import cli\n"
+        "code = cli.run(sys.argv[1:])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.splitlines()[-1] == f"{exit_code} {loaded}"
+    assert done.stderr.endswith(err_end) and bool(done.stderr) == bool(err_end)
 
 
 def test_render_rejects_too_many_strands(capsys):
