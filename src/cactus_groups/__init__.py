@@ -33,7 +33,6 @@ from .diagram_group import (
     gamma_circ_projection,
     in_even_subgroup,
     in_gamma_circ,
-    is_lean,
     lex_normal_form,
     projection_dimension,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "in_even_subgroup",
     "in_gamma_circ",
     "inverse_word",
-    "is_lean",
     "is_pure",
     "lex_normal_form",
     "nilpotent_separation",

@@ -6,9 +6,9 @@ one contains the other or they are disjoint, which makes words over this
 alphabet a trace monoid, and the diagram group a right-angled Coxeter
 group over it.
 
-Every word kernel is a fold of one primitive, `append_slot`: where a letter
-goes when it is appended to a canonical word (the lexicographically least
-word of its commutation class).  By Anisimov and Knuth's inhomogeneous
+The kernel layer is one primitive and its fold.  `append_slot` says where
+a letter goes when it is appended to a canonical word (the
+lexicographically least word of its commutation class).  By Anisimov and Knuth's inhomogeneous
 sorting, that canonical product is the old word with the letter inserted;
 by the Crisp-Godelle-Wiest stack reduction for right-angled groups, an
 equal letter the new one reaches across commuting letters cancels it.  One
@@ -17,9 +17,10 @@ of a restart after every deletion.  `lean_reduce` scans less: a central
 letter (a singleton chord, or the union of the word's letters) commutes
 with everything and never meets a barrier, so its scan would cross the
 whole word.  It keeps only the parity of each central letter and places
-the odd ones last, each straight at its slot without a scan.
+the odd ones last, each straight at its slot without a scan.  A word is
+lean exactly when `lean_reduce` cancels none of its letters.
 
-`cactus_groups.kernels` re-exports every kernel from here.
+`cactus_groups.kernels` re-exports both kernels from here.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ from __future__ import annotations
 from typing import Sequence
 
 Word = tuple  # tuple[int, ...]
-
-
-def commutes(a: int, b: int) -> bool:
-    """True iff chords a and b commute: nested or disjoint.
-
-    >>> commutes(0b011, 0b111), commutes(0b011, 0b100), commutes(0b011, 0b110)
-    (True, True, False)
-    """
-    c = a & b
-    return c == 0 or c == a or c == b
 
 
 def append_slot(word: Sequence[int], letter: int, cancel: bool = True) -> int:
@@ -117,31 +108,4 @@ def lean_reduce(word: Sequence[int]) -> Word:
         out.insert(j, a)
         j += 1
     return tuple(out)
-
-
-def lex_least(word: Sequence[int]) -> Word:
-    """Lexicographically least word of the commutation class of ``word``.
-
-    Equal letters commute and never cancel, so repeated letters survive.
-    """
-    out: list[int] = []
-    for a in word:
-        out.insert(append_slot(out, a, cancel=False), a)
-    return tuple(out)
-
-
-def canonical_if_lean(word: Sequence[int]) -> Word | None:
-    """Canonical form of a lean word, or None when the word is not lean."""
-    out: list[int] = []
-    for a in word:
-        slot = append_slot(out, a)
-        if slot < 0:
-            return None
-        out.insert(slot, a)
-    return tuple(out)
-
-
-def is_lean(word: Sequence[int]) -> bool:
-    """True iff no equal pair of letters can be made adjacent by commutations."""
-    return canonical_if_lean(word) is not None
 

@@ -137,7 +137,7 @@ class SeparationCertificate:
     def from_json(cls, text: str) -> SeparationCertificate:
         try:
             data = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # deep nesting recurses
             raise CertificateFormatError(f"not JSON: {exc}") from None
         return cls.from_dict(data)
 
@@ -162,7 +162,7 @@ def _separate(w: DiagramWord, max_degree: int | None, components, ring: str):
     raise RuntimeError("lean word image was trivial at its own length; impossible")
 
 
-def verify_certificate(cert: SeparationCertificate, n: int | None = None) -> bool:
+def verify_certificate(cert: SeparationCertificate) -> bool:
     """Recompute the truncated image of the certified element at the stated
     degree and confirm the witness is exactly the first nonzero component.
 
@@ -170,16 +170,16 @@ def verify_certificate(cert: SeparationCertificate, n: int | None = None) -> boo
     no element separates above its lean length; a certificate claiming a
     higher degree is rejected before any image is built.
 
-    Without ``n`` the element is read at arity `MAX_STRAND`, so it parses
-    exactly when its strand numbers stay within the token bound; the arity
-    changes nothing else, since neither algebra reads it.
+    The element is read at arity `MAX_STRAND`, so it parses exactly when
+    its strand numbers stay within the token bound; the arity changes
+    nothing else, since neither algebra reads it.
     """
     # The algebras import this module for the certificate type.
     from .algebra_f2 import f2_image
     from .algebra_z import z_image
 
     try:
-        word = parse_diagram_word(cert.element, MAX_STRAND if n is None else n)
+        word = parse_diagram_word(cert.element, MAX_STRAND)
     except ValueError:
         return False
     letters = kernels.lean_reduce(word.letters)

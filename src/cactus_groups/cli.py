@@ -200,7 +200,6 @@ class _Option(NamedTuple):
     type: Callable[[str], Any] | None = None
     choices: tuple[str, ...] | None = None
     required: bool = False
-    default: Any = None
     help: str | None = None
 
     @property
@@ -249,10 +248,7 @@ _VERBS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple, tuple]] = 
         "re-check a separation certificate", _cmd_verify, (),
         (("certificate", "certificate JSON, or - to read it from stdin"),),
     ),
-    "render": (
-        "ASCII picture of a cactus or diagram word", _cmd_render,
-        (_N, _Option("--format", choices=("ascii",), default="ascii")), (_WORD,),
-    ),
+    "render": ("ASCII picture of a cactus or diagram word", _cmd_render, (_N,), (_WORD,)),
 }
 
 
@@ -290,7 +286,7 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
         option.required and option.dest not in values for option in options
     ):
         return None
-    args = {option.dest: values.get(option.dest, option.default) for option in options}
+    args = {option.dest: values.get(option.dest) for option in options}
     args.update(zip((name for name, _ in positionals), words))
     return SimpleNamespace(**args, func=func)
 

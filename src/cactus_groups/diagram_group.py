@@ -26,7 +26,6 @@ from .cactus_core import _walk, diagram_of, is_pure
 from .words import CactusGenerator, CactusWord, DiagramWord, chord_mask, chord_members
 
 __all__ = [
-    "is_lean",
     "lex_normal_form",
     "equal_diagrams",
     "delta",
@@ -37,11 +36,6 @@ __all__ = [
     "in_gamma_circ",
     "construct_pure_generator",
 ]
-
-
-def is_lean(w: DiagramWord) -> bool:
-    """True iff no commutation sequence creates an adjacent equal pair."""
-    return kernels.is_lean(w.letters)
 
 
 def lex_normal_form(w: DiagramWord) -> DiagramWord:

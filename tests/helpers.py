@@ -3,8 +3,6 @@
 import re
 import tracemalloc
 
-from cactus_groups import _kernels_py
-from cactus_groups.diagram_group import is_lean
 from cactus_groups.words import CactusGenerator, CactusWord, DiagramWord, ParseError
 
 
@@ -25,7 +23,7 @@ def random_lean_word(rng, n, length, tries=2000):
     """A lean word of exactly `length` letters, by rejection sampling."""
     for _ in range(tries):
         w = random_diagram_word(rng, n, length)
-        if is_lean(w):
+        if reference_is_lean(w.letters):
             return w
     raise AssertionError(f"no lean word of length {length} found at n={n}")
 
@@ -38,9 +36,7 @@ def noncentral_alphabet(n):
     sampling of even lean words effective.
     """
     alpha = range(1, 1 << n)
-    return tuple(
-        a for a in alpha if any(not _kernels_py.commutes(a, b) for b in alpha)
-    )
+    return tuple(a for a in alpha if any(_blocks(a, b) for b in alpha))
 
 
 def random_even_word(rng, n, pairs, alphabet=None):
@@ -57,7 +53,7 @@ def random_even_lean_word(rng, n, pairs, tries=5000):
     alphabet = noncentral_alphabet(n)
     for _ in range(tries):
         w = random_even_word(rng, n, pairs, alphabet)
-        if is_lean(w):
+        if reference_is_lean(w.letters):
             return w
     raise AssertionError(f"no even lean word of {2 * pairs} letters found at n={n}")
 

@@ -88,12 +88,6 @@ def test_verify_accepts_real_certificates():
     assert verify_certificate(tfn_separation(dw("t{1,2} t{2,3} t{1,2} t{2,3}")))
 
 
-def test_verify_accepts_explicit_arity():
-    cert = f2_cert(ALT)
-    assert verify_certificate(cert, n=3)
-    assert verify_certificate(cert, n=5)
-
-
 # The element is read at arity MAX_STRAND.  Each one reduces to t{1,2}, so
 # it verifies exactly when its repeated chord parses.
 @pytest.mark.parametrize(
@@ -396,7 +390,15 @@ def test_from_dict_rejects_unordered_strands(separate, strands):
         SeparationCertificate.from_dict(data)
 
 
-@pytest.mark.parametrize("text", ["", "{", "null", "[1]", '{"element": "t{1,2}"}'])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "{", "null", "[1]", '{"element": "t{1,2}"}',
+        # deep enough that json.loads raises RecursionError
+        pytest.param("[" * 1000 + "]" * 1000, id="nested 1000 deep"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested 100000 deep"),
+    ],
+)
 def test_from_json_rejects_malformed_text(text):
     with pytest.raises(CertificateFormatError):
         SeparationCertificate.from_json(text)

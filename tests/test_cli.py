@@ -51,7 +51,7 @@ def run(capsys, *argv):
         (("project", "--n", "4", ""), 0, "[0,0,0,0,0]\n"),
         (("project", "--n", "3", WORKED), 0, "[1]\n"),
         (("make-generator", "--n", "3", "t{1,2,3}"), 0, "s1,3 s1,2 s2,3 s1,2\n"),
-        (("render", "--n", "4", "--format", "ascii", "t{1,2,4}"), 0, "| | | |\n*-*-|-*\n| | | |\n"),
+        (("render", "--n", "4", "t{1,2,4}"), 0, "| | | |\n*-*-|-*\n| | | |\n"),
         (("render", "--n", "3", ""), 0, "| | |\n"),
         (("render", "--n", "7", "s3,7"), 0, "| | | | | | |\n| | X-X-X-X-X\n| | | | | | |\n"),
         (("gamma0", "--n", "64", "s1,2 s1,2"), 0, "true\n"),
@@ -124,7 +124,9 @@ def test_verify_rejects_a_tampered_witness(capsys, ring):
     "text",
     ["", "{", "[1]", '{"element": "t{1,2}"}',
      '{"element": "t{1,2}", "ring": "f2-nilpotent", "degree": 1, '
-     '"witness": [{"monomial": [[2, 1]], "coeff": 1}]}'],
+     '"witness": [{"monomial": [[2, 1]], "coeff": 1}]}',
+     # deep enough that json.loads raises RecursionError
+     pytest.param("[" * 1000 + "]" * 1000, id="nested 1000 deep")],
 )
 def test_verify_rejects_malformed_certificates(capsys, text):
     code, out, err = run(capsys, "verify", text)
@@ -543,12 +545,13 @@ def test_closed_stdout_in_process_exits_141(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def cactus_process(*argv, stdout=subprocess.PIPE):
+def cactus_process(*argv, stdout=subprocess.PIPE, stdin=None):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.Popen(
         [sys.executable, "-m", "cactus_groups.cli", *argv],
         env=env,
+        stdin=stdin,
         stdout=stdout,
         stderr=subprocess.PIPE,
     )
@@ -563,7 +566,8 @@ def test_closed_stdout_pipe_mid_output_exits_141():
     proc = cactus_process("perm", "--n", "1000000", "s1,2")
     assert proc.stdout.read(7) == b"[2,1,3,"
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (141, b"")
 
 
@@ -576,5 +580,16 @@ def test_closed_stdout_pipe_at_exit_exits_141():
         proc = cactus_process("nf", "--n", "3", "t{1,2} t{1,2,3} t{1,3}", stdout=write_end)
     finally:
         os.close(write_end)
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_deeply_nested_certificate_on_stdin_exits_2():
+    # json.loads raises RecursionError at this depth: malformed input, not
+    # an internal error.  Read from stdin, since one argv string is capped
+    # at 128 KB.
+    proc = cactus_process("verify", "-", stdin=subprocess.PIPE)
+    out, err = proc.communicate(b"[" * 100_000 + b"]" * 100_000, timeout=60)
+    assert (proc.returncode, out) == (2, b"")
+    assert err.startswith(b"error: not JSON")

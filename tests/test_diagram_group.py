@@ -13,7 +13,6 @@ from cactus_groups.diagram_group import (
     gamma_circ_projection,
     in_even_subgroup,
     in_gamma_circ,
-    is_lean,
     lex_normal_form,
     projection_dimension,
 )
@@ -26,7 +25,7 @@ from cactus_groups.words import (
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import invert_permutation, peak_bytes, random_cactus_word
+from helpers import invert_permutation, peak_bytes, random_cactus_word, reference_is_lean
 from oracle import relation_neighbors
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
@@ -34,13 +33,6 @@ WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 
 def dw(text, n=3):
     return parse_diagram_word(text, n)
-
-
-def test_is_lean_examples():
-    assert is_lean(dw("t{1,2} t{1,3}"))
-    assert not is_lean(dw("t{1,2} t{1,2,3} t{1,2}"))
-    assert is_lean(dw("t{1,2} t{1,3} t{1,2}"))
-    assert is_lean(dw(""))
 
 
 def test_lean_reduce_examples():
@@ -107,7 +99,7 @@ def test_normal_form_is_idempotent_and_equivalent(letters):
     nf = lex_normal_form(w)
     assert lex_normal_form(nf) == nf
     assert equal_diagrams(w, nf)
-    assert is_lean(nf)
+    assert reference_is_lean(nf.letters)
 
 
 def test_projection_dimension_constants():

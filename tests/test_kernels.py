@@ -8,8 +8,8 @@ import oracle
 from cactus_groups import KERNEL_BACKEND, _kernels_py, kernels
 from cactus_groups.words import DiagramWord
 from helpers import (
+    _blocks,
     reference_append_slot,
-    reference_canonical_if_lean,
     reference_is_lean,
     reference_lean_reduce,
     reference_lex_least,
@@ -30,14 +30,7 @@ def bfs(request):
 def test_selected_backend_is_exported():
     assert KERNEL_BACKEND == kernels.BACKEND == "python"
     exported = {name for name in vars(kernels) if not name.startswith("_")} - {"BACKEND"}
-    assert exported == {
-        "append_slot",
-        "canonical_if_lean",
-        "commutes",
-        "is_lean",
-        "lean_reduce",
-        "lex_least",
-    }
+    assert exported == {"append_slot", "lean_reduce"}
     for name in exported:
         assert getattr(kernels, name) is getattr(_kernels_py, name), name
     assert kernels.lean_reduce((3, 3)) == ()
@@ -56,7 +49,9 @@ def test_selected_backend_is_exported():
     ],
 )
 def test_commutes(kern, a, b, expected):
-    assert kern.commutes(a, b) is expected
+    assert (not _blocks(a, b)) is expected
+    # a b a reduces to b exactly when a crosses b to cancel its twin
+    assert (kern.lean_reduce((a, b, a)) == (b,)) is expected
 
 
 @pytest.mark.parametrize(
@@ -73,7 +68,8 @@ def test_commutes(kern, a, b, expected):
     ],
 )
 def test_is_lean(kern, word, expected):
-    assert kern.is_lean(word) is expected
+    assert reference_is_lean(word) is expected
+    assert (len(kern.lean_reduce(word)) == len(word)) is expected
 
 
 @pytest.mark.parametrize(
@@ -112,13 +108,9 @@ def test_lean_reduce(kern, word, expected):
     ],
 )
 def test_lex_least(kern, word, expected):
-    assert kern.lex_least(word) == expected
-
-
-def test_canonical_if_lean(kern):
-    assert kern.canonical_if_lean((12, 3)) == (3, 12)
-    assert kern.canonical_if_lean((3, 7, 3)) is None
-    assert kern.canonical_if_lean(()) == ()
+    assert reference_lex_least(word) == expected
+    # every example is lean, so its normal form is its least word
+    assert kern.lean_reduce(word) == expected
 
 
 def test_lean_reduce_preserves_per_letter_parity(kern, rng):
@@ -171,10 +163,8 @@ def test_folds_match_greedy_references(kern, rng):
         word = random_word(rng, rng.randrange(0, 25))
         lean = reference_lean_reduce(word)
         assert kern.lean_reduce(word) == reference_lex_least(lean)
-        assert kern.lex_least(word) == reference_lex_least(word)
-        assert kern.is_lean(word) is reference_is_lean(word)
-        assert kern.canonical_if_lean(word) == reference_canonical_if_lean(word)
-        assert kern.canonical_if_lean(lean) == kern.lean_reduce(word)
+        # a word is lean exactly when lean reduction cancels nothing
+        assert (len(kern.lean_reduce(word)) == len(word)) is reference_is_lean(word)
 
 
 words_strategy = st.lists(st.integers(1, 15), max_size=8).map(tuple)
@@ -195,12 +185,12 @@ def test_lean_reduce_is_least_of_the_lean_class(word):
 
 @given(words_strategy)
 def test_lex_least_is_least_of_the_class(word):
-    assert _kernels_py.lex_least(word) == least_of_class(word)
+    assert reference_lex_least(word) == least_of_class(word)
 
 
 @given(words_strategy, st.integers(1, 15))
 def test_append_slot_inserts_into_the_least_word(word, letter):
-    canonical = _kernels_py.lex_least(word)
+    canonical = reference_lex_least(word)
     slot = _kernels_py.append_slot(canonical, letter, cancel=False)
     grown = canonical[:slot] + (letter,) + canonical[slot:]
     assert grown == least_of_class(word + (letter,))
