@@ -18,14 +18,6 @@ from .cactus_core import (
     is_pure,
     word_permutation,
 )
-from .certificates import (
-    RING_F2,
-    RING_Z,
-    CertificateFormatError,
-    DegreeCapReached,
-    SeparationCertificate,
-    verify_certificate,
-)
 from .diagram_group import (
     construct_pure_generator,
     delta,
@@ -53,6 +45,21 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The names in __all__ that are not bound here are the certificate
+    # layer's, which loads (with `json`) when one of them is first read.
+    if name in __all__:
+        from . import certificates
+
+        return getattr(certificates, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __all__ = [
     "CactusGenerator",

@@ -20,15 +20,16 @@ bounded degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import kernels
-from .certificates import RING_F2, SeparationCertificate, _separate
-from .words import DiagramWord
+from .words import DiagramWord, _Frozen
+
+if TYPE_CHECKING:
+    from .certificates import SeparationCertificate
 
 
-@dataclass(frozen=True)
-class F2Series:
+class F2Series(_Frozen):
     """Truncated series: the set of monomials with coefficient 1.
 
     The empty monomial is the constant term.  All stored monomials have
@@ -43,7 +44,6 @@ class F2Series:
             raise ValueError("truncation degree must be at least 1")
         if any(len(m) > self.degree for m in self.support):
             raise ValueError("monomial exceeds truncation degree")
-
 
 
 def f2_image(w: DiagramWord, degree: int) -> F2Series:
@@ -116,4 +116,5 @@ def nilpotent_separation(
     >>> cert.degree, cert.witness
     (1, (((3,), 1),))
     """
-    return _separate(w, max_degree, _graded_terms, RING_F2)
+    import cactus_groups.certificates as certificates  # on first use; it imports this module
+    return certificates._separate(w, max_degree, _graded_terms, certificates.RING_F2)

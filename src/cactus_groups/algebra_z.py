@@ -17,18 +17,18 @@ in a torsion-free nilpotent quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import kernels
-from .certificates import RING_Z, SeparationCertificate, _separate
 from .diagram_group import in_even_subgroup
-from .words import DiagramWord
+from .words import DiagramWord, _Frozen
+
+if TYPE_CHECKING:
+    from .certificates import SeparationCertificate
 
 
-@dataclass(frozen=True)
-class ZSeries:
+class ZSeries(_Frozen):
     """Truncated series: monomial -> nonzero integer coefficient.
 
     ``coeffs`` is taken as it is given: its keys must be canonical
@@ -45,7 +45,6 @@ class ZSeries:
         if self.degree < 1:
             raise ValueError("truncation degree must be at least 1")
         object.__setattr__(self, "coeffs", MappingProxyType(self.coeffs))
-
 
 
 def z_image(w: DiagramWord, degree: int) -> ZSeries:
@@ -149,4 +148,5 @@ def tfn_separation(
     """
     if not in_even_subgroup(w):
         raise ValueError("word is outside the even diagram subgroup (odd chord parity)")
-    return _separate(w, max_degree, _graded_terms, RING_Z)
+    import cactus_groups.certificates as certificates  # on first use; it imports this module
+    return certificates._separate(w, max_degree, _graded_terms, certificates.RING_Z)

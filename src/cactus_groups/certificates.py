@@ -32,6 +32,8 @@ import json
 from dataclasses import dataclass
 
 from . import kernels
+from .algebra_f2 import f2_image
+from .algebra_z import z_image
 from .diagram_group import in_even_subgroup
 from .words import (
     DiagramWord,
@@ -174,10 +176,6 @@ def verify_certificate(cert: SeparationCertificate) -> bool:
     its strand numbers stay within the token bound; the arity changes
     nothing else, since neither algebra reads it.
     """
-    # The algebras import this module for the certificate type.
-    from .algebra_f2 import f2_image
-    from .algebra_z import z_image
-
     try:
         word = parse_diagram_word(cert.element, MAX_STRAND)
     except ValueError:

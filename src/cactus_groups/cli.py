@@ -11,13 +11,13 @@ call (exact option names, each followed by its value) is read straight
 from that table without loading argparse; every other call, help and
 usage errors included, goes to argparse parsers built from the same
 table: a call that names a verb to that verb's parser, the rest to the
-top-level parser.
+top-level parser.  Likewise only ``separate`` and ``verify`` load the
+certificate layer (by absolute import, the cheapest to repeat) and `json`.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -30,13 +30,6 @@ from .cactus_core import (
     equal_in_Jn,
     is_pure,
     word_permutation,
-)
-from .certificates import (
-    RING_F2,
-    RING_Z,
-    DegreeCapReached,
-    SeparationCertificate,
-    verify_certificate,
 )
 from .diagram_group import (
     construct_pure_generator,
@@ -152,35 +145,31 @@ def _cmd_make_generator(args: SimpleNamespace) -> int:
 
 
 def _cmd_separate(args: SimpleNamespace) -> int:
+    import json
+    import cactus_groups.certificates as certificates
+
     w = parse_diagram_word(args.word, args.n)
-    ring = RING_F2 if args.ring == "f2" else RING_Z
     separate = nilpotent_separation if args.ring == "f2" else tfn_separation
     try:
         cert = separate(w, max_degree=args.max_degree)
-    except DegreeCapReached:
-        print(
-            json.dumps(
-                {
-                    "element": format_diagram_word(w),
-                    "ring": ring,
-                    "separated": False,
-                    "max_degree": args.max_degree,
-                },
-                sort_keys=True,
-            )
-        )
-        return 1
-    if cert is None:
-        element = format_diagram_word(w)
-        print(json.dumps({"element": element, "ring": ring, "trivial": True}, sort_keys=True))
-        return 1
-    print(cert.to_json())
-    return 0
+    except certificates.DegreeCapReached:
+        report = {"separated": False, "max_degree": args.max_degree}
+    else:
+        if cert is not None:
+            print(cert.to_json())
+            return 0
+        report = {"trivial": True}
+    ring = certificates.RING_F2 if args.ring == "f2" else certificates.RING_Z
+    print(json.dumps({"element": format_diagram_word(w), "ring": ring, **report}, sort_keys=True))
+    return 1
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
+    import cactus_groups.certificates as certificates
+
     text = sys.stdin.read() if args.certificate == "-" else args.certificate
-    return _decision(verify_certificate(SeparationCertificate.from_json(text)))
+    cert = certificates.SeparationCertificate.from_json(text)
+    return _decision(certificates.verify_certificate(cert))
 
 
 def _cmd_render(args: SimpleNamespace) -> int:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple
 
 
@@ -74,6 +73,47 @@ def _check_arity(n: int) -> None:
         raise ValueError(f"arity must be positive, got {n}")
 
 
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """A frozen dataclass without `dataclasses`, which loads `inspect`: the
+    fields are the class annotations, set through ``object.__setattr__`` as
+    a dataclass does, since a ``__dict__`` read slows later attribute reads."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._astuple = staticmethod(operator.attrgetter(*cls._fields))  # two fields or more
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:
+            args += tuple(kwargs.pop(field) for field in fields[len(args):] if field in kwargs)
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {', '.join(fields)}")
+        for field, value in zip(fields, args):
+            _setattr(self, field, value)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == self._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._astuple(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class CactusGenerator(NamedTuple):
     """The interval generator s_{p,q}, reversing strands p..q (1 <= p < q)."""
 
@@ -81,8 +121,7 @@ class CactusGenerator(NamedTuple):
     q: int
 
 
-@dataclass(frozen=True)
-class CactusWord:
+class CactusWord(_Frozen):
     """A word in the interval generators; the carrier of cactus group elements.
 
     >>> CactusWord(3, (CactusGenerator(1, 2), CactusGenerator(1, 3))).n
@@ -140,8 +179,7 @@ def chord_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DiagramWord:
+class DiagramWord(_Frozen):
     """A word in the chord generators; the carrier of diagram group elements."""
 
     n: int

@@ -377,13 +377,63 @@ def test_argparse_is_loaded_only_for_calls_the_reader_leaves(argv, exit_code, lo
         "code = cli.run(sys.argv[1:])\n"
         "print(code, 'argparse' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run(
-        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = run_fresh(script, argv)
     assert done.stdout.splitlines()[-1] == f"{exit_code} {loaded}"
     assert done.stderr.endswith(err_end) and bool(done.stderr) == bool(err_end)
+
+
+def run_fresh(script, argv):
+    """``python -c script *argv`` in a fresh interpreter that imports the
+    package from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+CERT = json.dumps(
+    {"element": "t{1,2}", "ring": "f2-nilpotent", "degree": 1,
+     "witness": [{"monomial": [[1, 2]], "coeff": 1}]},
+    sort_keys=True,
+)
+HEAVY = ("dataclasses", "inspect", "json", "cactus_groups.certificates")
+
+
+# A plain verb loads none of the heavy modules; separate and verify load
+# the certificate layer.  Modules the bare interpreter already holds (a
+# .pth file may import any of them) are left out.
+@pytest.mark.parametrize(
+    "argv, output, heavy",
+    [
+        (("nf", "--n", "3", "t{1,2} t{1,2}"), "", False),
+        (("eq", "--n", "3", "s1,2", "s1,2"), "true", False),
+        (("perm", "--n", "3", "s1,3"), "[3,2,1]", False),
+        (("render", "--n", "2", "t{1,2}"), None, False),
+        (("separate", "--n", "2", "--ring", "f2", "t{1,2}"), CERT, True),
+        (("verify", CERT), "true", True),
+    ],
+    ids=["nf", "eq", "perm", "render", "separate", "verify"],
+)
+def test_only_separate_and_verify_load_the_certificate_layer(argv, output, heavy):
+    script = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "from cactus_groups import cli\n"
+        "code = cli.run(sys.argv[1:])\n"
+        f"print(code, *sorted(set(sys.modules).difference(bare).intersection({HEAVY!r})))\n"
+    )
+    done = run_fresh(script, argv)
+    *lines, report = done.stdout.splitlines()
+    assert done.stderr == ""
+    if output is not None:
+        assert lines == [output]
+    code, *loaded = report.split()
+    assert code == "0"
+    if heavy:
+        assert "cactus_groups.certificates" in loaded
+    else:
+        assert loaded == []
 
 
 def test_render_rejects_too_many_strands(capsys):

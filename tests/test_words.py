@@ -3,6 +3,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cactus_groups import words
+from cactus_groups.algebra_f2 import F2Series
+from cactus_groups.algebra_z import ZSeries
 from cactus_groups.words import (
     MAX_STRAND,
     CactusGenerator,
@@ -313,6 +315,80 @@ def test_words_are_immutable_and_hashable():
     assert {w: 1}[parse_diagram_word("t{1,2}", 3)] == 1
     with pytest.raises(AttributeError):
         w.letters = ()
+
+
+# The word and series types keep the behaviour of a frozen dataclass,
+# without the dataclasses module: (type, fields, the dataclass repr).
+VALUE_TYPES = [
+    (
+        CactusWord,
+        {"n": 3, "letters": (CactusGenerator(1, 2),)},
+        "CactusWord(n=3, letters=(CactusGenerator(p=1, q=2),))",
+    ),
+    (DiagramWord, {"n": 3, "letters": (3,)}, "DiagramWord(n=3, letters=(3,))"),
+    (
+        F2Series,
+        {"degree": 2, "support": frozenset({(3, 5)})},
+        "F2Series(degree=2, support=frozenset({(3, 5)}))",
+    ),
+    (
+        ZSeries,
+        {"degree": 2, "coeffs": {(): 1, (3, 3): -1}},
+        "ZSeries(degree=2, coeffs=mappingproxy({(): 1, (3, 3): -1}))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text", VALUE_TYPES, ids=[cls.__name__ for cls, _, _ in VALUE_TYPES]
+)
+def test_value_types_behave_as_frozen_dataclasses(cls, fields, text):
+    value = cls(*fields.values())
+    same = cls(**fields)
+    assert value == same and not value != same
+    assert repr(value) == repr(same) == text
+    assert list(vars(value)) == list(fields)
+    if cls is ZSeries:
+        # coeffs is kept as a mappingproxy, which does not hash
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(same) and {value: 1}[same] == 1
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert vars(value) == vars(same)
+    # only instances of the same type are equal
+    assert value != object() and value != tuple(fields.values())
+    assert DiagramWord(3, ()) != CactusWord(3, ())
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, error",
+    [
+        (CactusWord, (), {"n": 0, "letters": ()}, "arity must be positive"),
+        (CactusWord, (), {"n": 2, "letters": (CactusGenerator(1, 3),)}, "invalid generator"),
+        (DiagramWord, (), {"letters": (8,), "n": 3}, "out of range"),
+        (F2Series, (0, frozenset()), {}, "truncation degree must be"),
+        (F2Series, (1, frozenset({(3, 5)})), {}, "exceeds truncation degree"),
+        (ZSeries, (), {"degree": 0, "coeffs": {}}, "truncation degree must be"),
+        (DiagramWord, (3,), {}, None),
+        (DiagramWord, (3, (), 3), {}, None),
+        (DiagramWord, (3,), {"n": 3}, None),
+        (DiagramWord, (3,), {"chords": ()}, None),
+    ],
+    ids=[
+        "cactus-arity", "cactus-generator", "diagram-chord", "f2-degree",
+        "f2-monomial", "z-degree", "missing", "extra", "repeated", "unknown",
+    ],
+)
+def test_value_type_constructors_check_their_fields(cls, args, kwargs, error):
+    """Keyword construction runs the checks of `test_word_validation`; a
+    bad value raises `ValueError`, bad arguments `TypeError` (None)."""
+    with pytest.raises(ValueError if error else TypeError, match=error):
+        cls(*args, **kwargs)
 
 
 # The spelling tables: every word of printed spellings at a tabled arity
