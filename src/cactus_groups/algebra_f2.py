@@ -55,8 +55,6 @@ def f2_image(w: DiagramWord, degree: int) -> F2Series:
     >>> sorted(f2_image(DiagramWord(2, (0b11, 0b11)), 3).support)
     [()]
     """
-    if degree < 1:
-        raise ValueError("truncation degree must be at least 1")
     support = {()}
     for letter in w.letters:
         step = set(support)

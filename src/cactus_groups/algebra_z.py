@@ -57,8 +57,6 @@ def z_image(w: DiagramWord, degree: int) -> ZSeries:
     Appending a letter again lands right after its previous copy, so one
     scan finds the slot for every power.
     """
-    if degree < 1:
-        raise ValueError("truncation degree must be at least 1")
     if not in_even_subgroup(w):
         raise ValueError("word is outside the even diagram subgroup (odd chord parity)")
     seen_odd: set = set()  # chords met an odd number of times so far

@@ -71,17 +71,18 @@ def _field(data, key: str, kind: type):
 
 def _chord(members) -> int:
     if (
-        not isinstance(members, list)
-        or not members
-        or not all(type(i) is int and i >= 1 for i in members)
-        or not all(a < b for a, b in zip(members, members[1:]))
-        or members[-1] > MAX_STRAND
+        isinstance(members, list)
+        and all(type(i) is int for i in members)
+        and all(a < b for a, b in zip(members, members[1:]))
     ):
-        raise CertificateFormatError(
-            "a chord must be a nonempty, strictly ascending list of strands "
-            f"numbered from 1 to {MAX_STRAND}, got {members!r}"
-        )
-    return chord_mask(members, members[-1])
+        try:
+            return chord_mask(members, MAX_STRAND)  # range, bound and nonempty
+        except ValueError:
+            pass
+    raise CertificateFormatError(
+        "a chord must be a nonempty, strictly ascending list of strands "
+        f"numbered from 1 to {MAX_STRAND}, got {members!r}"
+    )
 
 
 @dataclass(frozen=True)

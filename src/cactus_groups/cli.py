@@ -246,8 +246,8 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     the verb's argparse parser would give.  None for every call that is not
     plain (``-h``, ``--``, ``--opt=value``, an abbreviation, a value that
     starts with ``-`` or does not convert, a missing or extra argument, an
-    unknown verb, ``verify -``): argparse reads those.  A repeated option
-    keeps its last value, as in argparse."""
+    unknown verb): argparse reads those.  A lone ``-`` is a positional, and
+    a repeated option keeps its last value, as in argparse."""
     entry = _VERBS.get(argv[0]) if argv else None
     if entry is None:
         return None
@@ -257,7 +257,7 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     words = []
     tokens = iter(argv[1:])
     for token in tokens:
-        if not token.startswith("-"):
+        if not token.startswith("-") or token == "-":
             words.append(token)
             continue
         option = flags.get(token)
@@ -346,12 +346,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 must only ever mean "false"
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        report = f"internal error: {type(exc).__name__}: {exc}"
+    print(report, file=sys.stderr)  # with the failing call's frames let go
+    return 3
 
 
 def main() -> None:
-    code = run()
+    try:
+        code = run()
+    except Exception:  # the error report itself failed, as a MemoryError can
+        code = 3
     try:
         # Output that fits the buffer is written only now.
         sys.stdout.flush()

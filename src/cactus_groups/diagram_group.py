@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import kernels
-from .cactus_core import _walk, diagram_of, is_pure
+from .cactus_core import diagram_of, is_pure
 from .words import CactusGenerator, CactusWord, DiagramWord, chord_mask, chord_members
 
 __all__ = [
@@ -130,57 +130,40 @@ def in_gamma_circ(w: CactusWord) -> bool:
     return even
 
 
-def _sort_swaps(arr: list) -> list[int]:
-    """Bubble-sort ``arr`` ascending in place, returning the 1-based
-    positions of the adjacent swaps performed, in order."""
-    swaps = []
-    m = len(arr)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m - 1):
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                swaps.append(i + 1)
-                changed = True
-    return swaps
-
-
 def construct_pure_generator(n: int, chord: int | Iterable[int]) -> CactusWord:
-    """A pure word whose diagram contains exactly one chord on more than
-    two strands, namely ``chord``; every other chord joins two strands.
+    """A pure word whose only chord on more than two strands is ``chord``,
+    so its projection is the standard basis vector indexed by ``chord``.
 
-    Hence its projection is the standard basis vector indexed by
-    ``chord``.  Built from adjacent transpositions (which only emit
-    two-strand chords): first bring the members of ``chord`` to positions
-    1..k in order, then reverse that block in one letter, then undo the
-    accumulated permutation by bubble sort.  Strands past the chord's
-    largest member m never move, and bubble sort never swaps across
-    position m, so the letters are built on strands 1..m and memory
-    follows the chord, not n.  The postconditions are verified before
-    returning.
+    For members c_1 < ... < c_k the word is G s_{1,k} U G^-1, and every
+    letter but s_{1,k} is an adjacent swap, whose chord joins two strands:
+    the gather G moves each c_j in turn down to position j, s_{1,k}
+    reverses that block, U's k(k-1)/2 swaps sort it again and G^-1
+    scatters it.  No letter reaches past c_k, so memory follows the chord.
+    The postconditions are verified before returning.
 
     >>> from .words import format_cactus_word
     >>> format_cactus_word(construct_pure_generator(3, (1, 2, 3)))
     's1,3 s1,2 s2,3 s1,2'
+    >>> format_cactus_word(construct_pure_generator(4, (1, 2, 4)))
+    's3,4 s1,3 s1,2 s2,3 s1,2 s3,4'
     """
     mask = chord if isinstance(chord, int) else chord_mask(chord, n)
-    members = list(chord_members(mask))
+    members = chord_members(mask)
     if members and members[-1] > n:
         raise ValueError(f"strand {members[-1]} out of range 1..{n}")
     k = len(members)
     if k <= 2:
         raise ValueError(f"chord must have more than two strands, got {k}")
 
-    m = members[-1]
-    target = members + [i for i in range(1, m + 1) if not (mask >> (i - 1)) & 1]
-    gather = [CactusGenerator(i, i + 1) for i in reversed(_sort_swaps(list(target)))]
-    letters = gather + [CactusGenerator(1, k)]
+    gather = [
+        CactusGenerator(i, i + 1) for j, c in enumerate(members, 1) for i in range(j, c)[::-1]
+    ]
+    unreverse = [
+        CactusGenerator(i, i + 1) for last in range(k - 1, 0, -1) for i in range(1, last + 1)
+    ]
+    letters = (*gather, CactusGenerator(1, k), *unreverse, *reversed(gather))
 
-    # the walk's final assignment; sorting its label bits sorts the labels
-    letters += [CactusGenerator(i, i + 1) for i in _sort_swaps(_walk(letters)[1])]
-
-    word = CactusWord(n, tuple(letters))
+    word = CactusWord(n, letters)
     if not is_pure(word):
         raise RuntimeError("constructed generator is not pure")
     big = [m for m in diagram_of(word).letters if m.bit_count() > 2]

@@ -86,7 +86,7 @@ def test_f2_image_examples():
 
 
 def test_f2_image_requires_positive_degree():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncation degree must be at least 1"):
         f2_image(dw("t{1,2}"), 0)
 
 

@@ -103,6 +103,8 @@ def test_z_image_examples():
     for k in (1, 2, 5):
         assert z_is_one(z_image(dw("t{1,2} t{1,2}"), k))
     assert dict(z_image(dw(ALT), 2).coeffs) == {(): 1, (A, B): 1, (B, A): -1}
+    with pytest.raises(ValueError, match="truncation degree must be at least 1"):
+        z_image(dw("t{1,2} t{1,2}"), 0)
 
 
 def test_z_image_rejects_odd_parity():

@@ -357,39 +357,13 @@ def test_the_reader_agrees_with_argparse(monkeypatch):
         for variant in spellings(argv):
             read = cli._read(variant)
             assert read is None or vars(read) == argparse_namespace(variant), variant
-    assert cli._read(["verify", "-"]) is None
-
-
-# Only a call the reader leaves loads argparse (and gettext with it).
-@pytest.mark.parametrize(
-    "argv, exit_code, loaded, err_end",
-    [
-        (("nf", "--n", "3", "t{1,2}"), 0, False, ""),
-        (("eq", "--n", "3", "s1,2"), 2, True,
-         "cactus eq: error: the following arguments are required: word2\n"),
-    ],
-    ids=["plain", "usage error"],
-)
-def test_argparse_is_loaded_only_for_calls_the_reader_leaves(argv, exit_code, loaded, err_end):
-    script = (
-        "import sys\n"
-        "from cactus_groups import cli\n"
-        "code = cli.run(sys.argv[1:])\n"
-        "print(code, 'argparse' in sys.modules)\n"
-    )
-    done = run_fresh(script, argv)
-    assert done.stdout.splitlines()[-1] == f"{exit_code} {loaded}"
-    assert done.stderr.endswith(err_end) and bool(done.stderr) == bool(err_end)
-
-
-def run_fresh(script, argv):
-    """``python -c script *argv`` in a fresh interpreter that imports the
-    package from this checkout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run(
-        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
-    )
+    # a lone - is a positional, as in argparse
+    for argv in (
+        ["verify", "-"], ["nf", "--n", "3", "-"], ["verify", "-", "-"], ["nf", "--n", "-", "t{1}"]
+    ):
+        read = cli._read(argv)
+        assert (vars(read) if read else None) == argparse_namespace(argv), argv
+    assert cli._read(["verify", "-"]) is not None
 
 
 CERT = json.dumps(
@@ -397,6 +371,42 @@ CERT = json.dumps(
      "witness": [{"monomial": [[1, 2]], "coeff": 1}]},
     sort_keys=True,
 )
+
+
+# Only a call the reader leaves loads argparse (and gettext with it).
+@pytest.mark.parametrize(
+    "argv, stdin, out, err_end",
+    [
+        (("nf", "--n", "3", "t{1,2}"), None, "t{1,2}\n0 False\n", ""),
+        (("verify", "-"), CERT, "true\n0 False\n", ""),
+        (("eq", "--n", "3", "s1,2"), None, "2 True\n",
+         "cactus eq: error: the following arguments are required: word2\n"),
+    ],
+    ids=["plain", "verify from stdin", "usage error"],
+)
+def test_argparse_is_loaded_only_for_calls_the_reader_leaves(argv, stdin, out, err_end):
+    script = (
+        "import sys\n"
+        "from cactus_groups import cli\n"
+        "code = cli.run(sys.argv[1:])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    done = run_fresh(script, argv, stdin)
+    assert done.stdout == out
+    assert done.stderr.endswith(err_end) and bool(done.stderr) == bool(err_end)
+
+
+def run_fresh(script, argv, stdin=None):
+    """``python -c script *argv`` in a fresh interpreter that imports the
+    package from this checkout, with ``stdin`` as its input if given."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, input=stdin, capture_output=True, text=True, timeout=60,
+    )
+
+
 HEAVY = ("dataclasses", "inspect", "json", "cactus_groups.certificates")
 
 
@@ -583,6 +593,28 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: RuntimeError: kernel fault\n"
+
+
+# The report is printed once the failing call's frames are let go; if the
+# print itself fails, as under MemoryError, main still exits 3, never 1.
+def test_a_failing_error_report_still_exits_3(monkeypatch):
+    def broken(word):
+        raise RuntimeError("kernel fault")
+
+    handled = []
+
+    class Exhausted:
+        def write(self, s):
+            handled.append(sys.exc_info()[1])
+            raise MemoryError
+
+    monkeypatch.setattr(cli, "lex_normal_form", broken)
+    monkeypatch.setattr(sys, "argv", ["cactus", "nf", "--n", "3", "t{1,2}"])
+    monkeypatch.setattr(sys, "stderr", Exhausted())
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 3
+    assert handled == [None]
 
 
 def test_closed_stdout_in_process_exits_141(monkeypatch, capsys):

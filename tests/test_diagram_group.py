@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactus_groups.cactus_core import diagram_of, inverse_word, is_pure, word_permutation
+from cactus_groups.cactus_core import diagram_of, inverse_word, is_pure
 from cactus_groups.diagram_group import (
     MAX_PROJECTION_ARITY,
-    _sort_swaps,
     big_chord_sets,
     construct_pure_generator,
     delta,
@@ -17,7 +16,6 @@ from cactus_groups.diagram_group import (
     projection_dimension,
 )
 from cactus_groups.words import (
-    CactusGenerator,
     CactusWord,
     DiagramWord,
     chord_mask,
@@ -25,7 +23,7 @@ from cactus_groups.words import (
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import invert_permutation, peak_bytes, random_cactus_word, reference_is_lean
+from helpers import peak_bytes, random_cactus_word, reference_is_lean
 from oracle import relation_neighbors
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
@@ -193,18 +191,27 @@ def test_construct_pure_generator_memory_follows_the_chord(chord):
     assert out == [CactusWord(200000, letters)]
 
 
-def test_construct_pure_generator_sorts_the_walks_assignment():
-    # reference: the final bubble sort read off the inverse of the permutation
+def test_construct_pure_generator_closed_form():
+    # G s_{1,k} U G^-1: gather each member c_j down to position j, reverse
+    # the block, sort it again with adjacent swaps, scatter
     for n in range(3, 8):
         for mask in big_chord_sets(n):
-            members = list(chord_members(mask))
-            m = members[-1]
-            target = members + [i for i in range(1, m + 1) if i not in members]
-            letters = [CactusGenerator(i, i + 1) for i in reversed(_sort_swaps(target))]
-            letters.append(CactusGenerator(1, len(members)))
-            assign = invert_permutation(word_permutation(CactusWord(m, tuple(letters))))
-            letters += [CactusGenerator(i, i + 1) for i in _sort_swaps(list(assign))]
-            assert construct_pure_generator(n, mask) == CactusWord(n, tuple(letters))
+            members = chord_members(mask)
+            k = len(members)
+            gather = [
+                f"s{i},{i + 1}" for j, c in enumerate(members, 1) for i in range(c - 1, j - 1, -1)
+            ]
+            unreverse = [
+                f"s{i},{i + 1}" for last in range(k - 1, 0, -1) for i in range(1, last + 1)
+            ]
+            text = " ".join([*gather, f"s1,{k}", *unreverse, *reversed(gather)])
+            w = construct_pure_generator(n, mask)
+            assert w == parse_cactus_word(text, n)
+            shift = sum(c - j for j, c in enumerate(members, 1))
+            assert len(w.letters) == 2 * shift + 1 + k * (k - 1) // 2
+    assert construct_pure_generator(5, {2, 3, 5}) == parse_cactus_word(
+        "s1,2 s2,3 s4,5 s3,4 s1,3 s1,2 s2,3 s1,2 s3,4 s4,5 s2,3 s1,2", 5
+    )
 
 
 def test_construct_pure_generator_rejects_small_chords():
@@ -212,6 +219,8 @@ def test_construct_pure_generator_rejects_small_chords():
         construct_pure_generator(3, {1, 2})
     with pytest.raises(ValueError):
         construct_pure_generator(4, {2})
+    with pytest.raises(ValueError, match="strand 4 out of range 1..3"):
+        construct_pure_generator(3, 0b1111)  # an int mask naming a strand past n
 
 
 def test_constructed_generators_hit_standard_basis():
