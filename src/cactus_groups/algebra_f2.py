@@ -42,7 +42,7 @@ class F2Series(_Frozen):
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("truncation degree must be at least 1")
-        if any(len(m) > self.degree for m in self.support):
+        if max(map(len, self.support), default=0) > self.degree:
             raise ValueError("monomial exceeds truncation degree")
 
 
@@ -52,18 +52,23 @@ def f2_image(w: DiagramWord, degree: int) -> F2Series:
     by one append; a monomial whose new letter meets an equal one across
     commuting letters vanishes.
 
+    A letter's grown monomials are collected in one pass and toggled into
+    the support together.  No two of them are equal: m -> m t_a is one to
+    one on canonical monomials, since a trace monoid cancels on the right.
+    So one batched symmetric difference adds each of them exactly once.
+
     >>> sorted(f2_image(DiagramWord(2, (0b11, 0b11)), 3).support)
     [()]
     """
     support = {()}
     for letter in w.letters:
-        step = set(support)
+        grown = []
         for mono in support:
             if len(mono) < degree:
                 slot = kernels.append_slot(mono, letter)
                 if slot >= 0:
-                    step.symmetric_difference_update((mono[:slot] + (letter,) + mono[slot:],))
-        support = step
+                    grown.append(mono[:slot] + (letter,) + mono[slot:])
+        support.symmetric_difference_update(grown)
     return F2Series(degree, frozenset(support))
 
 

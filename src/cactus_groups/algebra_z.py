@@ -56,29 +56,45 @@ def z_image(w: DiagramWord, degree: int) -> ZSeries:
     A factor 1 + t or 1 - t + t^2 - ... grows each monomial m into m a^j.
     Appending a letter again lands right after its previous copy, so one
     scan finds the slot for every power.
+
+    The terms are kept in one dict per monomial length and updated in
+    place.  For each letter the source lengths are walked from
+    ``degree - 1`` down to 0.  A source term m of length l adds m a into
+    length l + 1 for an odd occurrence, and (-1)^j m a^j into length l + j
+    for every j that fits for an even one, so it writes only into lengths
+    that have been read already.  A total that reaches 0 is deleted at
+    once.  No series is copied, and terms of full length are never visited
+    again.
     """
     if not in_even_subgroup(w):
         raise ValueError("word is outside the even diagram subgroup (odd chord parity)")
     seen_odd: set = set()  # chords met an odd number of times so far
-    acc: dict = {(): 1}
+    by_length: list = [{} for _ in range(degree + 1)]  # length -> {monomial: coeff}
+    by_length[0][()] = 1
     for letter in w.letters:
         odd = letter not in seen_odd
         seen_odd.symmetric_difference_update((letter,))
-        step = dict(acc)
-        for mono, coeff in acc.items():
-            room = degree - len(mono)
-            if not room:
-                continue
-            slot = kernels.append_slot(mono, letter, cancel=False)
-            head, tail = mono[:slot], mono[slot:]
-            term = coeff
-            for power in range(1, 2 if odd else room + 1):
-                if not odd:
-                    term = -term
-                grown = head + (letter,) * power + tail
-                step[grown] = step.get(grown, 0) + term
-        acc = {m: c for m, c in step.items() if c}
-    return ZSeries(degree, acc)
+        sign = 1 if odd else -1
+        for length in range(degree - 1, -1, -1):
+            # an odd occurrence grows by a alone, an even one by every power
+            targets = by_length[length + 1 : length + 2 if odd else None]
+            for mono, coeff in by_length[length].items():
+                slot = kernels.append_slot(mono, letter, cancel=False)
+                head, tail = mono[:slot], mono[slot:]
+                run = ()
+                for target in targets:
+                    coeff *= sign
+                    run += (letter,)
+                    grown = head + run + tail
+                    total = target.get(grown, 0) + coeff
+                    if total:
+                        target[grown] = total
+                    else:
+                        del target[grown]
+    coeffs = by_length[0]
+    for terms in by_length[1:]:
+        coeffs.update(terms)
+    return ZSeries(degree, coeffs)
 
 
 def _accumulate(acc: dict, terms) -> None:

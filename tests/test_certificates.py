@@ -248,6 +248,36 @@ def test_graded_components_match_the_walks_and_the_images(rng):
                 assert comps[d] == walk[d] == z_homogeneous_component(image, d)
 
 
+def test_truncated_images_match_the_walks(rng):
+    # every truncation degree from 1 to past the top, so that most images
+    # drop terms; the Z words have the bench's shape, 4 pairs at n <= 6,
+    # and k = 8 is among their degrees
+    truncated = {"f2": 0, "z": 0}
+    for _ in range(40):
+        n = rng.choice([3, 4, 5, 6])
+        for w in (
+            random_diagram_word(rng, n, rng.randrange(1, 9)),
+            random_lean_word(rng, n, rng.randrange(1, 7)),
+        ):
+            top = len(w) + 1
+            walk = expand_f2(w.letters, top)
+            for k in range(1, top + 1):
+                image = f2_image(w, k)
+                assert () in image.support
+                assert all(walk[d] == f2_homogeneous_component(image, d) for d in range(1, k + 1))
+                truncated["f2"] += any(walk[d] for d in range(k + 1, top + 1))
+        for w in (random_even_word(rng, n, 4), random_even_lean_word(rng, max(n, 4), 4)):
+            top = len(w) + 1
+            walk = expand_z(w.letters, top)
+            for k in range(1, top + 1):
+                image = z_image(w, k)
+                assert image.coeffs[()] == 1
+                assert max(map(len, image.coeffs)) <= k
+                assert all(walk[d] == z_homogeneous_component(image, d) for d in range(1, k + 1))
+                truncated["z"] += any(walk[d] for d in range(k + 1, top + 1))
+    assert min(truncated.values()) > 50
+
+
 def separate_by_images(w, image, is_one, terms):
     """The search by whole images, degree 1, 2, ... until one is not 1."""
     lean = DiagramWord(w.n, kernels.lean_reduce(w.letters))

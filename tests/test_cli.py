@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cactus_groups import cli
 from cactus_groups.cactus_core import word_permutation
@@ -615,6 +617,86 @@ def test_a_failing_error_report_still_exits_3(monkeypatch):
         cli.main()
     assert exc.value.code == 3
     assert handled == [None]
+
+
+# Token soup for every verb: options drawn from the verb table or not at
+# all, in any order, now and then among stray tokens.  Arities stay small,
+# so no call writes a large output.  Whatever the input, the answer is 0, 1
+# or 2, and 1 means a negative answer: "false", or separate's report of a
+# trivial element or a reached degree cap.
+_NUMBERS = ("3", "4", "5", "6") * 3 + ("2", "1", "0", "-1")
+_GENERATORS = ("s1,2", "s1,3", "s2,3", "s1,4", "s3,4") * 3 + ("s2,1", "s1,9", "x")
+_CHORDS = ("t{1,2}", "t{1,3}", "t{2,3}", "t{1,2,3}", "t{3}", "t{1,2,4}") * 3 + (
+    "t{2,1}", "t{}", "t{7}"
+)
+_CERTIFICATE = (
+    '{"degree": 1, "element": "%s", "ring": "f2-nilpotent", '
+    '"witness": [{"coeff": 1, "monomial": [[1, 2]]}]}'
+)
+_CERTIFICATES = (
+    "-", "{", "[]", *(_CERTIFICATE % e for e in ("t{1,2}", "t{1,3}", "t{1,2} t{1,2}"))
+)
+_STRAYS = (
+    *cli._VERBS, *_NUMBERS, "--n", "--ring", "f2", "z", "--max-degree",
+    "-", "--", "-h", "--n=3", "--ri",
+)
+_DIAGRAM_VERBS = {"nf", "deq", "delta", "separate", "make-generator"}
+
+
+def _word(rng, verb, name):
+    """Mostly a word the verb reads, sometimes one of the other kind."""
+    alphabet = _CHORDS if (verb in _DIAGRAM_VERBS) == (rng.random() < 0.8) else _GENERATORS
+    length = 1 if name == "chord" and rng.random() < 0.8 else rng.randrange(7)
+    return " ".join(rng.choice(alphabet) for _ in range(length))
+
+
+@st.composite
+def _soup(draw):
+    # Seeded by Hypothesis, but uniform: its own Random favours small
+    # draws, which would turn most calls into usage errors.
+    rng = draw(st.randoms(use_true_random=True))
+    verb = rng.choice(sorted(cli._VERBS))
+    _, _, options, positionals = cli._VERBS[verb]
+    units = []  # an option with its value moves as one
+    for option in options:
+        if option.required or rng.random() < 0.5:
+            units.append([option.flag, rng.choice(option.choices or _NUMBERS)])
+    for name, _ in positionals:
+        token = rng.choice(_CERTIFICATES) if name == "certificate" else _word(rng, verb, name)
+        units.append([token])
+    if rng.random() < 0.5:
+        rng.shuffle(units)
+    if rng.random() < 0.25:
+        units.append([rng.choice(_STRAYS + _CERTIFICATES) for _ in range(rng.randint(1, 2))])
+    return [verb, *(token for unit in units for token in unit)], rng.choice(_CERTIFICATES)
+
+
+def _negative_answer(verb, out):
+    if out == "false\n":
+        return True
+    if verb != "separate":
+        return False
+    report = json.loads(out)
+    return report.keys() - {"trivial", "separated", "max_degree"} == {"element", "ring"} and (
+        report.get("trivial") is True or report.get("separated") is False
+    )
+
+
+@settings(max_examples=300)
+@given(_soup())
+def test_token_soup_exits_0_1_or_2(call):
+    argv, stdin = call
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 1:
+        assert _negative_answer(argv[0], out.getvalue())
 
 
 def test_closed_stdout_in_process_exits_141(monkeypatch, capsys):
