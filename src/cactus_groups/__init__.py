@@ -28,7 +28,6 @@ from .diagram_group import (
     lex_normal_form,
     projection_dimension,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .render import render_ascii
 from .words import (
     CactusGenerator,
@@ -45,6 +44,7 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+KERNEL_BACKEND = "python"  # the implementation of `kernels`
 
 
 def __getattr__(name: str):

@@ -95,6 +95,8 @@ class SeparationCertificate:
     def __post_init__(self):
         if self.ring not in (RING_F2, RING_Z):
             raise ValueError(f"unknown ring {self.ring!r}")
+        if type(self.degree) is not int:  # nor a bool, as `from_dict` reads it
+            raise ValueError(f"degree must be an int, got {self.degree!r}")
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
         if not self.witness:
@@ -104,8 +106,8 @@ class SeparationCertificate:
         for mono, coeff in self.witness:
             if len(mono) != self.degree:
                 raise ValueError("witness monomial length differs from degree")
-            if coeff == 0 or (self.ring == RING_F2 and coeff != 1):
-                raise ValueError(f"invalid witness coefficient {coeff}")
+            if type(coeff) is not int or coeff == 0 or (self.ring == RING_F2 and coeff != 1):
+                raise ValueError(f"invalid witness coefficient {coeff!r}")
 
     def to_dict(self) -> dict:
         return {

@@ -6,19 +6,27 @@ nonempty subset of strands stored as an int bitmask (bit ``1 << (i - 1)``
 for strand ``i``).  Both grammars are whitespace-separated token lists and
 an empty string denotes the identity; arity is always supplied separately,
 never inferred from the tokens, and is checked before any token is read.
+The arity and every generator strand are integers, checked with
+`operator.index` when a word is built: a float, which would print as
+text no parser reads, raises `TypeError` there.
 
 Each arity n up to `_TABLE_ARITY` has one table per grammar, built once
 per process: it maps every spelling the formatters print for that arity,
 the 2^n - 1 chords ``t{...}`` and the n(n-1)/2 generators ``s<p>,<q>``,
-to its letter, so a word parses with one table lookup per token, in C,
-and is built without its constructor's check, since every letter in the
-table is valid at that arity.  The first token a table misses (a bad
-token, or a valid spelling the formatters never print, such as
-``t{01,2}``, ``s01,2`` or non-ASCII digits), and any arity past the
-bound, sends the whole word to the validating path, so every accepted
-word and every error is the same with or without the tables.  User
-tokens are never cached: such spellings make the set of valid tokens
-unbounded, and one token can be megabytes long.
+to its letter, so a word parses with one table lookup per token, in C.
+The first token a table misses (a bad token, or a valid spelling the
+formatters never print, such as ``t{01,2}``, ``s01,2`` or non-ASCII
+digits), and any arity past the bound, sends the whole word to the
+validating path, so every accepted word and every error is the same
+with or without the tables.  User tokens are never cached: such
+spellings make the set of valid tokens unbounded, and one token can be
+megabytes long.  The validating path collects the distinct tokens in
+first-occurrence order (`dict.fromkeys`, in C), validates each once and
+reuses the result for every repeat.  The first bad distinct token is the
+earliest bad token, so the error and its position, worked out only then,
+are the same as for a token-by-token scan.  Every parsed word, from a
+table or validated, is built without its constructor's check: its arity
+was checked first, and each of its letters is valid at that arity.
 
 Printing a word of arity n up to the bound goes through the same
 tables, inverted, with one lookup per letter; a word of a larger arity
@@ -26,19 +34,12 @@ is spelled letter by letter from its strand members.  The tables are
 built by doubling the chord spellings strand by strand, and all of
 them, with their inverses, stay under 0.4 MB.
 
-The validating path collects the distinct tokens in first-occurrence
-order (`dict.fromkeys`, in C), validates each once and reuses the result
-for every repeat.  The first bad distinct token is the earliest bad
-token, so the error and its position, worked out only then, are the same
-as for a token-by-token scan.
-
 Strand numbers in tokens are bounded by `MAX_STRAND`, independently of the
 arity: the strand walk and the chord masks take memory that grows with the
 largest strand number, which a short token could otherwise make huge.
 
-This module is the one home of the types and the parsing/printing; the
-package root exports them too, and the group modules import them from
-here.
+This module is the one home of the word types and their parsing and
+printing; the package root re-exports them.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class ParseError(ValueError):
 
 
 def _check_arity(n: int) -> None:
-    if n < 1:
+    if operator.index(n) < 1:
         raise ValueError(f"arity must be positive, got {n}")
 
 
@@ -79,11 +80,14 @@ _setattr = object.__setattr__
 class _Frozen:
     """A frozen dataclass without `dataclasses`, which loads `inspect`: the
     fields are the class annotations, set through ``object.__setattr__`` as
-    a dataclass does, since a ``__dict__`` read slows later attribute reads."""
+    a dataclass does, since a ``__dict__`` read slows later attribute reads.
+    A subclass without annotations keeps its base's fields."""
 
     def __init_subclass__(cls):
-        cls._fields = tuple(vars(cls).get("__annotations__", ()))
-        cls._astuple = staticmethod(operator.attrgetter(*cls._fields))  # two fields or more
+        fields = tuple(vars(cls).get("__annotations__", ()))
+        if fields:
+            cls._fields = fields
+            cls._astuple = staticmethod(operator.attrgetter(*fields))  # two fields or more
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -114,6 +118,33 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+class _Word(_Frozen):
+    """Arity n and letters; a subclass checks its letters in `_check_letters`."""
+
+    n: int
+    letters: tuple
+
+    def __post_init__(self):
+        _check_arity(self.n)
+        self._check_letters()
+
+    @classmethod
+    def _unchecked(cls, n: int, letters: tuple):
+        # no check: the arity was checked and every letter is valid at n
+        w = object.__new__(cls)
+        _setattr(w, "n", n)
+        _setattr(w, "letters", letters)
+        return w
+
+    def __mul__(self, other):
+        if self.n != other.n:
+            raise ValueError(f"arity mismatch: {self.n} != {other.n}")
+        return type(self)(self.n, self.letters + other.letters)
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+
 class CactusGenerator(NamedTuple):
     """The interval generator s_{p,q}, reversing strands p..q (1 <= p < q)."""
 
@@ -121,29 +152,20 @@ class CactusGenerator(NamedTuple):
     q: int
 
 
-class CactusWord(_Frozen):
+class CactusWord(_Word):
     """A word in the interval generators; the carrier of cactus group elements.
 
     >>> CactusWord(3, (CactusGenerator(1, 2), CactusGenerator(1, 3))).n
     3
     """
 
-    n: int
-    letters: tuple[CactusGenerator, ...]
-
-    def __post_init__(self):
-        _check_arity(self.n)
-        for g in dict.fromkeys(self.letters):
-            if not 1 <= g.p < g.q <= self.n:
-                raise ValueError(f"invalid generator s_{{{g.p},{g.q}}} for arity {self.n}")
-
-    def __mul__(self, other: "CactusWord") -> "CactusWord":
-        if self.n != other.n:
-            raise ValueError(f"arity mismatch: {self.n} != {other.n}")
-        return CactusWord(self.n, self.letters + other.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
+    def _check_letters(self):
+        n, index = self.n, operator.index
+        # every letter, not each distinct one: (1.0, 2) equals (1, 2)
+        for g in self.letters:
+            p, q = index(g.p), index(g.q)
+            if not 1 <= p < q <= n:
+                raise ValueError(f"invalid generator s_{{{g.p},{g.q}}} for arity {n}")
 
 
 def chord_mask(members: Iterable[int], n: int) -> int:
@@ -179,61 +201,40 @@ def chord_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class DiagramWord(_Frozen):
+class DiagramWord(_Word):
     """A word in the chord generators; the carrier of diagram group elements."""
 
-    n: int
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.n
-        _check_arity(n)
+    def _check_letters(self):
+        n, letters = self.n, self.letters
         # ``mask >> n`` instead of ``mask < 1 << n``, which would build an
         # n-bit integer; min and max run in C, the search only on failure
-        letters = self.letters
         if letters and (min(letters) <= 0 or max(letters) >> n):
             mask = next(m for m in letters if m <= 0 or m >> n)
             raise ValueError(f"chord {mask:#b} out of range for arity {n}")
-
-    def __mul__(self, other: "DiagramWord") -> "DiagramWord":
-        if self.n != other.n:
-            raise ValueError(f"arity mismatch: {self.n} != {other.n}")
-        return DiagramWord(self.n, self.letters + other.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 def _parse(
     cls: type, text: str, n: int, letter: Callable[[str, int], Any], table: Callable[[int], dict]
 ):
     """The word of arity n spelled by ``text``.  Its letters are looked up in
-    ``table(n)`` when every token is there, and the word is then built
-    without its constructor's check: a table holds only letters valid at
-    arity n.  Otherwise ``letter(token, n)`` validates one token or raises
-    `ValueError`, each distinct token is validated once, and the
-    constructor checks the word as usual."""
+    ``table(n)`` when every token is there; otherwise ``letter(token, n)``
+    validates one token or raises `ValueError`, each distinct token once.
+    Either way the arity is checked first and every letter is valid at n,
+    so the word is built without its constructor's check."""
     _check_arity(n)
     tokens = text.split()
-    # exact ints only: the tables are built over range(1, n + 1)
-    if type(n) is int and n <= _TABLE_ARITY:
+    if n <= _TABLE_ARITY:
         try:
-            letters = tuple(map(table(n).__getitem__, tokens))
+            return cls._unchecked(n, tuple(map(table(n).__getitem__, tokens)))
         except KeyError:
             pass
-        else:
-            # both word classes have exactly the fields n and letters
-            w = object.__new__(cls)
-            object.__setattr__(w, "n", n)
-            object.__setattr__(w, "letters", letters)
-            return w
     seen = dict.fromkeys(tokens)
     for token in seen:
         try:
             seen[token] = letter(token, n)
         except ValueError as exc:
             raise ParseError(str(exc), token, tokens.index(token) + 1) from None
-    return cls(n, tuple(map(seen.__getitem__, tokens)))
+    return cls._unchecked(n, tuple(map(seen.__getitem__, tokens)))
 
 
 @functools.cache
@@ -303,13 +304,8 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
 
 def format_cactus_word(w: CactusWord) -> str:
     """Inverse of `parse_cactus_word`; identity prints as the empty string."""
-    # exact ints only, as in `_parse`; the table holds every generator of
-    # arity n unless one was built by hand with strands that are not ints
-    if type(w.n) is int and w.n <= _TABLE_ARITY:
-        try:
-            return " ".join(map(_generator_spellings(w.n).__getitem__, w.letters))
-        except KeyError:
-            pass
+    if w.n <= _TABLE_ARITY:
+        return " ".join(map(_generator_spellings(w.n).__getitem__, w.letters))
     return " ".join(f"s{g.p},{g.q}" for g in w.letters)
 
 
@@ -340,11 +336,14 @@ def parse_diagram_word(text: str, n: int) -> DiagramWord:
 
 
 def format_chord(mask: int) -> str:
-    return "t{" + ",".join(str(i) for i in chord_members(mask)) + "}"
+    members = chord_members(mask)
+    if not members:
+        raise ValueError("chord must be nonempty")
+    return "t{" + ",".join(map(str, members)) + "}"
 
 
 def format_diagram_word(w: DiagramWord) -> str:
     """Inverse of `parse_diagram_word`; identity prints as the empty string."""
-    if type(w.n) is int and w.n <= _TABLE_ARITY:
+    if w.n <= _TABLE_ARITY:
         return " ".join(map(_chord_spellings(w.n).__getitem__, w.letters))
     return " ".join(format_chord(mask) for mask in w.letters)

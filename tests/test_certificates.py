@@ -61,6 +61,16 @@ def test_construction_validation():
         SeparationCertificate(**{**good, "witness": (((3,), 2),)})  # mod-2 coeff
     zgood = dict(element=ALT, ring=RING_Z, degree=2, witness=(((3, 5), 2),))
     SeparationCertificate(**zgood)
+    # degree and coefficients are ints and not bools, as from_dict reads them
+    for bad in (
+        {**good, "degree": True},
+        {**good, "witness": (((3,), True),)},
+        {**good, "witness": (((3,), 1.0),)},
+        {**zgood, "degree": 2.0},
+        {**zgood, "witness": (((3, 5), 2.0),)},
+    ):
+        with pytest.raises(ValueError):
+            SeparationCertificate(**bad)
 
 
 def test_json_round_trip_f2():

@@ -21,15 +21,9 @@ def kern(request):
     return request.param
 
 
-# One parameter, so the search tests keep their "[python]" ids.
-@pytest.fixture(params=[oracle], ids=["python"])
-def bfs(request):
-    return request.param
-
-
 def test_selected_backend_is_exported():
-    assert KERNEL_BACKEND == kernels.BACKEND == "python"
-    exported = {name for name in vars(kernels) if not name.startswith("_")} - {"BACKEND"}
+    assert KERNEL_BACKEND == "python"
+    exported = {name for name in vars(kernels) if not name.startswith("_")}
     assert exported == {"append_slot", "lean_reduce"}
     for name in exported:
         assert getattr(kernels, name) is getattr(_kernels_py, name), name
@@ -267,50 +261,3 @@ def test_lean_reduce_places_central_chords_without_a_scan(word):
     result, seen = scanned_letters(word)
     assert not [a for a in seen if a & (a - 1) == 0 or a == top]
     assert result == reference_lex_least(plain_fold(word))
-
-
-def w3(*letters):
-    return DiagramWord(3, letters)
-
-
-def test_bfs_reach_examples(bfs):
-    assert bfs.bfs_equal(w3(3, 3), w3(), max_len=4)
-    assert not bfs.bfs_equal(w3(3, 6), w3(6, 3), max_len=4)
-    targets = [w3(3, 6), w3(6, 3), w3()]
-    assert bfs.bfs_equal_many(w3(3, 6), targets, max_len=4) == [True, False, False]
-
-
-def test_reachable_class_small(bfs):
-    got = bfs.reachable_class(w3(3), max_len=3)
-    assert (3,) in got
-    assert (3, 5, 5) in got  # one insertion
-    assert () not in got  # a single letter never cancels
-
-
-def test_swap_class_examples(bfs):
-    def swap_class(*letters):
-        return {w.letters for w in bfs.commutation_class(DiagramWord(4, letters))}
-
-    assert swap_class(3, 12) == {(3, 12), (12, 3)}
-    assert swap_class(3, 5) == {(3, 5)}
-    assert swap_class(3, 7, 5) == {(3, 7, 5), (3, 5, 7), (7, 3, 5)}
-
-
-def test_component_ids_small(bfs):
-    words = [w3(), w3(3, 3), w3(5, 5), w3(3, 5), w3(5, 3), w3(3)]
-    ids = bfs.component_partition(words, max_len=4)
-    assert ids[0] == ids[1] == ids[2]
-    assert len({ids[3], ids[4], ids[5], ids[0]}) == 4
-
-
-def test_state_cap_returns_none(bfs):
-    # Named for the old contract, under which searches returned None at the
-    # cap; the name keeps the test id stable.
-    with pytest.raises(bfs.StateCapExceeded):
-        bfs.reachable_class(w3(3), max_len=6, state_cap=10)
-    with pytest.raises(bfs.StateCapExceeded):
-        bfs.bfs_equal(w3(3), w3(5), max_len=6, state_cap=10)
-    with pytest.raises(bfs.StateCapExceeded):
-        bfs.component_partition([w3(3), w3(5)], max_len=6, state_cap=10)
-    with pytest.raises(bfs.StateCapExceeded):
-        bfs.commutation_class(DiagramWord(4, (3, 12) * 6), state_cap=5)

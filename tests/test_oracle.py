@@ -40,12 +40,16 @@ def test_bfs_equal_many():
     w = dw("t{1,2} t{1,2}")
     targets = [dw(""), dw("t{1,3} t{1,3}"), dw("t{2,3}")]
     assert bfs_equal_many(w, targets) == [True, True, False]
+    w = dw("t{1,2} t{2,3}")
+    targets = [w, dw("t{2,3} t{1,2}"), dw("")]
+    assert bfs_equal_many(w, targets, max_len=4) == [True, False, False]
 
 
 def test_reachable_class_returns_letter_tuples():
     got = reachable_class(dw("t{1,2}"), max_len=3)
     assert (3,) in got
-    assert (3, 5, 5) in got
+    assert (3, 5, 5) in got  # one insertion
+    assert () not in got  # a single letter never cancels
     assert all(isinstance(t, tuple) for t in got)
 
 
@@ -80,6 +84,8 @@ def test_component_partition_matches_pairwise_bfs():
     words = [
         dw(""),
         dw("t{1,2} t{1,2}"),
+        dw("t{1,3} t{1,3}"),
+        dw("t{1,2}"),
         dw("t{1,2} t{1,3}"),
         dw("t{1,3} t{1,2}"),
         dw("t{1,2} t{1,2,3}"),

@@ -404,8 +404,9 @@ def validating_outcome(parse, text, n):
 
 
 @st.composite
-def printed_word(draw):
-    n = draw(st.integers(1, TABLE_ARITY))
+def printed_word(draw, max_n=TABLE_ARITY):
+    """A word built by its constructor, its parser and its printed text."""
+    n = draw(st.integers(1, max_n))
     if draw(st.booleans()) or n == 1:
         chords = st.sets(st.integers(1, n), min_size=1).map(lambda s: chord_mask(s, n))
         w = DiagramWord(n, tuple(draw(st.lists(chords, max_size=30))))
@@ -543,28 +544,61 @@ def test_arities_past_the_tables_print_from_the_members(monkeypatch, n):
     assert format_cactus_word(CactusWord(n, gens)) == text
 
 
-def test_generators_with_strands_that_are_not_ints_print_as_built():
-    w = CactusWord(3, (CactusGenerator(1.5, 2), CactusGenerator(1, 3)))
-    assert format_cactus_word(w) == "s1.5,2 s1,3"
+def test_arity_and_strands_that_are_not_ints_are_refused():
+    # each is refused when the word is built, not printed later as text
+    # that no parser reads back
+    refused = [
+        lambda: CactusWord(3.0, ()),
+        lambda: DiagramWord(3.0, ()),
+        lambda: parse_cactus_word("s1,2", 3.0),
+        lambda: parse_diagram_word("t{1}", 3.0),
+        lambda: parse_cactus_word("", "3"),
+        lambda: CactusWord(3, (CactusGenerator(1.5, 2),)),
+        lambda: CactusWord(3, (CactusGenerator(1, 2.0),)),
+        # equal to the first letter, so it is checked on its own
+        lambda: CactusWord(3, (CactusGenerator(1, 2), CactusGenerator(1.0, 2))),
+    ]
+    for build in refused:
+        with pytest.raises(TypeError):
+            build()
+    # int-likes still work: True is the arity 1
+    assert CactusWord(True, ()).n is True
+    assert parse_cactus_word("", True) == CactusWord(True, ())
+    assert format_diagram_word(parse_diagram_word("t{1} t{1}", True)) == "t{1} t{1}"
+    assert format_cactus_word(CactusWord(3, (CactusGenerator(True, 2),))) == "s1,2"
 
 
-def test_only_table_parsed_words_skip_the_constructor_check(monkeypatch):
+def test_parsed_words_skip_the_constructor_check(monkeypatch):
     checked = []
     for cls in (CactusWord, DiagramWord):
         check = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__", lambda w, check=check: checked.append(w) or check(w))
     tabled = [parse_cactus_word("s1,2 s2,3", 3), parse_diagram_word("t{1,2} t{3}", 3)]
+    validated = [
+        parse_cactus_word("s01,2 s2,3", 3),
+        parse_diagram_word("t{01,2} t{3}", 3),
+        parse_diagram_word("t{1,12}", TABLE_ARITY + 2),
+    ]
     assert checked == []
     built = [
         CactusWord(3, (CactusGenerator(1, 2), CactusGenerator(2, 3))),
         DiagramWord(3, (3, 4)),
+        CactusWord(3, (CactusGenerator(1, 2), CactusGenerator(2, 3))),
+        DiagramWord(3, (3, 4)),
+        DiagramWord(TABLE_ARITY + 2, (0b100000000001,)),
     ]
+    assert checked == built
     # the parser sets every field the constructor would
-    assert [vars(w) for w in tabled] == [vars(w) for w in built]
-    checked.clear()
-    validated = [
-        parse_cactus_word("s01,2", 3),
-        parse_diagram_word("t{01,2}", 3),
-        parse_diagram_word("t{1,12}", TABLE_ARITY + 2),
-    ]
-    assert checked == validated
+    assert [vars(w) for w in tabled + validated] == [vars(w) for w in built]
+
+
+def test_the_empty_chord_has_no_spelling():
+    with pytest.raises(ValueError, match="chord must be nonempty"):
+        format_chord(0)
+
+
+# n <= 12: on both sides of the tables
+@given(printed_word(max_n=TABLE_ARITY + 2))
+def test_built_words_print_as_text_that_parses_back(case):
+    parse, text, n, w = case
+    assert parse(text, n) == w
