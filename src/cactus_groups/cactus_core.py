@@ -26,12 +26,22 @@ p..q.  Chords record labels, not positions, which makes the restriction of
 non-pure words it is still well defined (a cocycle) and powers the
 equality test g == h  iff  g h^{-1} is trivial.
 
+`equal_in_Jn` decides that test in three stages over one walk of g h^{-1}:
+the permutation, then the parity map, then the lean reduction of the
+chord diagram.  The parity stage is sound because the diagram map is a
+homomorphism on pure words and each chord's occurrence count mod 2 is
+invariant under both diagram relations, so a chord met an odd number of
+times leaves a nontrivial diagram.  The pure words of even parity form a
+subgroup of index 2^N in the pure group, N = 2^n - n(n+1)/2 - 1, so most
+unequal pairs with equal permutations never reach the reduction.
+
 All of these read a word in one walk over positions 1..max q, since the
 rest never move; only `word_permutation`, with n entries out, costs n.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 
 from . import kernels
@@ -101,9 +111,12 @@ def diagram_of(w: CactusWord) -> DiagramWord:
 def equal_in_Jn(g: CactusWord, h: CactusWord) -> bool:
     """Decide equality in the cactus group.
 
-    One walk of g h^{-1} answers both questions: g and h can only be equal
-    when g h^{-1} is pure, and a pure word is trivial iff its chord diagram
-    reduces to the empty diagram word.
+    One walk of g h^{-1} feeds three stages, cheapest first.  g and h can
+    only be equal when g h^{-1} is pure.  A pure word whose chord diagram
+    meets some chord an odd number of times is nontrivial, since that
+    parity survives both diagram relations; `Counter` counts the chords in
+    C.  Only a pure word of even parity is reduced: it is trivial iff its
+    chord diagram reduces to the empty diagram word.
 
     >>> from .words import parse_cactus_word
     >>> equal_in_Jn(parse_cactus_word("s1,2 s3,4", 4), parse_cactus_word("s3,4 s1,2", 4))
@@ -112,4 +125,8 @@ def equal_in_Jn(g: CactusWord, h: CactusWord) -> bool:
     if g.n != h.n:
         raise ValueError(f"arity mismatch: {g.n} != {h.n}")
     chords, assign = _walk(g.letters + h.letters[::-1])
-    return _unmoved(assign) and kernels.lean_reduce(chords) == ()
+    if not _unmoved(assign):
+        return False
+    if any(count & 1 for count in Counter(chords).values()):
+        return False
+    return kernels.lean_reduce(chords) == ()

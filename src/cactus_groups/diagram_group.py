@@ -53,7 +53,14 @@ def lex_normal_form(w: DiagramWord) -> DiagramWord:
 
 
 def equal_diagrams(w1: DiagramWord, w2: DiagramWord) -> bool:
-    """Decide equality in the diagram group via normal forms."""
+    """Decide equality in the diagram group via normal forms.
+
+    Unlike `equal_in_Jn`, it counts no parities first.  There the chords
+    come from a walk that runs anyway; here counting would be an extra
+    pass over both words, and a pair that differs by a commutator
+    ``c d c d`` of crossing chords has even parity, so it would pay for
+    the pass and still be reduced.
+    """
     if w1.n != w2.n:
         raise ValueError(f"arity mismatch: {w1.n} != {w2.n}")
     return lex_normal_form(w1) == lex_normal_form(w2)
@@ -61,14 +68,20 @@ def equal_diagrams(w1: DiagramWord, w2: DiagramWord) -> bool:
 
 def delta(w: DiagramWord) -> frozenset:
     """Occurrence parity of each chord: the set of chords occurring an odd
-    number of times (the support of the parity vector).
+    number of times (the support of the parity vector).  A membership
+    test moves each letter in or out of the set, with no call per letter
+    to build a one-letter tuple; `collections.Counter` reads long words
+    faster but costs more on the short ones the parity checks mostly see.
 
     >>> sorted(delta(DiagramWord(3, (0b011, 0b011, 0b101))))
     [5]
     """
     odd = set()
     for mask in w.letters:
-        odd.symmetric_difference_update((mask,))
+        if mask in odd:
+            odd.remove(mask)
+        else:
+            odd.add(mask)
     return frozenset(odd)
 
 

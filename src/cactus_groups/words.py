@@ -137,6 +137,8 @@ class _Word(_Frozen):
         return w
 
     def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError(f"arity mismatch: {self.n} != {other.n}")
         return type(self)(self.n, self.letters + other.letters)
@@ -306,7 +308,8 @@ def format_cactus_word(w: CactusWord) -> str:
     """Inverse of `parse_cactus_word`; identity prints as the empty string."""
     if w.n <= _TABLE_ARITY:
         return " ".join(map(_generator_spellings(w.n).__getitem__, w.letters))
-    return " ".join(f"s{g.p},{g.q}" for g in w.letters)
+    # %d spells a strand as its number, as the tables do: True prints as 1
+    return " ".join("s%d,%d" % g for g in w.letters)
 
 
 def _chord(token: str, n: int) -> int:

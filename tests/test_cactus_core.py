@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cactus_groups import kernels
 from cactus_groups.cactus_core import diagram_of, equal_in_Jn, inverse_word, is_pure, word_permutation
-from cactus_groups.diagram_group import in_gamma_circ
+from cactus_groups.diagram_group import construct_pure_generator, delta, in_gamma_circ
 from cactus_groups.words import (
     CactusGenerator,
     CactusWord,
@@ -206,6 +209,81 @@ def test_equal_in_Jn_distinguishes(rng):
     assert not equal_in_Jn(
         parse_cactus_word("s1,2 s1,3", 3), parse_cactus_word("s1,3 s1,2", 3)
     )
+
+
+def _triple(n, k):
+    """(s_{k,k+1} s_{k,k+2})^3: pure, and it meets the chord {k,k+1,k+2}
+    three times, so its parity is odd."""
+    return CactusWord(n, (CactusGenerator(k, k + 1), CactusGenerator(k, k + 2)) * 3)
+
+
+def _commutator(a, b):
+    return a * b * inverse_word(a) * inverse_word(b)
+
+
+@st.composite
+def word_pairs(draw):
+    """(g, h) at n <= 8, h one of: a random word; g with an odd-parity pure
+    word inserted, which parity separates; g with an even-parity pure word
+    inserted, which only the reduction can tell apart."""
+    n = draw(st.integers(3, 8))
+    generators = st.integers(2, n).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: (p, q)))
+
+    def word():
+        return CactusWord(n, tuple(CactusGenerator(*g) for g in draw(st.lists(generators, max_size=12))))
+
+    g = word()
+    kind = draw(st.sampled_from(["random", "odd", "even"]))
+    if kind == "random":
+        return g, word()
+    if kind == "odd":
+        x = _triple(n, draw(st.integers(1, n - 2)))
+    elif draw(st.booleans()):
+        x = _triple(n, draw(st.integers(1, n - 2)))
+        x = x * x
+    else:
+        chords = st.sets(st.integers(1, n), min_size=3).map(lambda s: chord_mask(s, n))
+        x = _commutator(
+            construct_pure_generator(n, draw(chords)), construct_pure_generator(n, draw(chords))
+        )
+    cut = draw(st.integers(0, len(g)))
+    return g, CactusWord(n, g.letters[:cut] + x.letters + g.letters[cut:])
+
+
+@given(word_pairs())
+def test_equal_in_Jn_matches_the_reduction_alone(pair):
+    g, h = pair
+    w = g * inverse_word(h)
+    assert equal_in_Jn(g, h) == (is_pure(w) and kernels.lean_reduce(diagram_of(w).letters) == ())
+
+
+def test_each_stage_of_equal_in_Jn_decides_some_pair():
+    x = _triple(3, 1)
+    assert delta(diagram_of(x))
+    assert not delta(diagram_of(x * x))
+    assert len(kernels.lean_reduce(diagram_of(x * x).letters)) == 6
+    y = construct_pure_generator(4, 0b0111)
+    z = construct_pure_generator(4, 0b1110)
+    assert not delta(diagram_of(_commutator(y, z)))
+    assert not equal_in_Jn(_commutator(y, z), CactusWord(4, ()))
+    assert not equal_in_Jn(x * x, CactusWord(3, ()))
+    assert equal_in_Jn(x * x, x * x)
+
+
+def test_parity_separated_pairs_skip_the_reduction(monkeypatch):
+    def unreachable(chords):
+        raise AssertionError("lean_reduce called")
+
+    monkeypatch.setattr(kernels, "lean_reduce", unreachable)
+    x = _triple(5, 2)
+    g = parse_cactus_word("s1,4 s2,5 s1,2", 5)
+    assert not equal_in_Jn(x, CactusWord(5, ()))
+    assert not equal_in_Jn(g * x * g, g * g)
+    # a permutation mismatch never gets that far either
+    assert not equal_in_Jn(g, CactusWord(5, ()))
+    # an even-parity pair does reach the reduction
+    with pytest.raises(AssertionError, match="lean_reduce called"):
+        equal_in_Jn(x * x, CactusWord(5, ()))
 
 
 def test_equal_in_Jn_arity_mismatch():

@@ -73,6 +73,28 @@ def test_in_even_subgroup_examples():
     assert not in_even_subgroup(dw("t{1,2,3}"))
 
 
+def toggled_parity(w):
+    odd = set()
+    for mask in w.letters:
+        odd.symmetric_difference_update((mask,))
+    return frozenset(odd)
+
+
+@st.composite
+def repeating_diagram_words(draw):
+    """Words at n <= 12, or at n = 100 with masks past 2^64, whose letters
+    come from a few chords, so counts of both parities occur."""
+    n = draw(st.one_of(st.integers(1, 12), st.just(100)))
+    low = 1 << 64 if n > 64 else 1
+    pool = draw(st.lists(st.integers(low, (1 << n) - 1), min_size=1, max_size=6))
+    return DiagramWord(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=40))))
+
+
+@given(repeating_diagram_words())
+def test_delta_equals_the_per_letter_toggle(w):
+    assert delta(w) == toggled_parity(w)
+
+
 words3 = st.lists(st.integers(1, 7), max_size=8).map(tuple)
 
 

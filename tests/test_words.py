@@ -310,6 +310,15 @@ def test_word_concatenation():
         a * parse_diagram_word("t{1,2}", 4)
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [(CactusWord(3, ()), DiagramWord(3, (1,))), (DiagramWord(3, (1,)), CactusWord(3, ()))],
+)
+def test_words_of_different_types_do_not_multiply(left, right):
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*"):
+        left * right
+
+
 def test_words_are_immutable_and_hashable():
     w = parse_diagram_word("t{1,2}", 3)
     assert {w: 1}[parse_diagram_word("t{1,2}", 3)] == 1
@@ -597,8 +606,16 @@ def test_the_empty_chord_has_no_spelling():
         format_chord(0)
 
 
-# n <= 12: on both sides of the tables
+def _bool_strand_case(n):
+    w = CactusWord(n, (CactusGenerator(True, 2), CactusGenerator(2, n)))
+    return parse_cactus_word, format_cactus_word(w), n, w
+
+
+# n <= 12: on both sides of the tables; a strand True is the strand 1 on
+# either side, not "sTrue,2"
 @given(printed_word(max_n=TABLE_ARITY + 2))
+@example(_bool_strand_case(TABLE_ARITY))
+@example(_bool_strand_case(TABLE_ARITY + 1))
 def test_built_words_print_as_text_that_parses_back(case):
     parse, text, n, w = case
     assert parse(text, n) == w
