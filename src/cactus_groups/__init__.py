@@ -16,6 +16,7 @@ from .cactus_core import (
     equal_in_Jn,
     inverse_word,
     is_pure,
+    pure_diagram,
     word_permutation,
 )
 from .diagram_group import (
@@ -95,6 +96,7 @@ __all__ = [
     "parse_cactus_word",
     "parse_diagram_word",
     "projection_dimension",
+    "pure_diagram",
     "render_ascii",
     "tfn_separation",
     "verify_certificate",

@@ -26,14 +26,22 @@ p..q.  Chords record labels, not positions, which makes the restriction of
 non-pure words it is still well defined (a cocycle) and powers the
 equality test g == h  iff  g h^{-1} is trivial.
 
-`equal_in_Jn` decides that test in three stages over one walk of g h^{-1}:
-the permutation, then the parity map, then the lean reduction of the
-chord diagram.  The parity stage is sound because the diagram map is a
-homomorphism on pure words and each chord's occurrence count mod 2 is
-invariant under both diagram relations, so a chord met an odd number of
-times leaves a nontrivial diagram.  The pure words of even parity form a
-subgroup of index 2^N in the pure group, N = 2^n - n(n+1)/2 - 1, so most
+`equal_in_Jn` decides that test in four stages, cheapest first: the
+length parity, the permutation, the chord parity, the lean reduction.
+Counting letters by their length q - p mod 2 is a homomorphism onto
+(Z/2)^(n-1), the abelianization of J_n: the square removes two letters of
+one length, commutation reorders letters, and the nested rewrite swaps
+s_{m,r} for s_{p+q-r,p+q-m}, of the same length.  So g h^{-1} with an odd
+count at some length is nontrivial, and that stage needs no walk.  The
+chord parity is sound because the diagram map is a homomorphism on pure
+words and each chord's occurrence count mod 2 is invariant under both
+diagram relations.  It refines the length parity, since a letter of
+length l gives a chord on l + 1 strands, and it stays because it sees far
+more: its image on the pure group, Gamma / Gamma-circ, has dimension
+2^n - n(n+1)/2 - 1, against at most n - 1 for the length parity, so most
 unequal pairs with equal permutations never reach the reduction.
+`pure_diagram` gives `is_pure` and `diagram_of` from one walk, for
+callers that need both.
 
 All of these read a word in one walk over positions 1..max q, since the
 rest never move; only `word_permutation`, with n entries out, costs n.
@@ -52,15 +60,19 @@ __all__ = [
     "is_pure",
     "inverse_word",
     "diagram_of",
+    "pure_diagram",
     "equal_in_Jn",
 ]
 
 
-def _walk(letters) -> tuple[list[int], list[int]]:
+def _walk(letters, top: int | None = None) -> tuple[list[int], list[int]]:
     """The chord of each letter, and the bit ``1 << (label - 1)`` of the
-    label at each position 1..max q at the end; the bits are disjoint, so
-    a chord is the sum of its segment."""
-    assign = [1 << i for i in range(max(map(itemgetter(1), letters), default=0))]
+    label at each position 1..top at the end; the bits are disjoint, so
+    a chord is the sum of its segment.  ``top`` is the largest q, found
+    here unless the caller knows it."""
+    if top is None:
+        top = max(map(itemgetter(1), letters), default=0)
+    assign = [1 << i for i in range(top)]
     chords = []
     for p, q in letters:
         segment = assign[p - 1 : q]
@@ -108,15 +120,48 @@ def diagram_of(w: CactusWord) -> DiagramWord:
     return DiagramWord(w.n, tuple(_walk(w.letters)[0]))
 
 
+def pure_diagram(w: CactusWord) -> DiagramWord | None:
+    """Chord diagram of a pure word, or None when the word is not pure:
+    `is_pure` and `diagram_of` in one walk.
+
+    >>> from .words import format_diagram_word, parse_cactus_word
+    >>> format_diagram_word(pure_diagram(parse_cactus_word("s1,2 s1,2", 3)))
+    't{1,2} t{1,2}'
+    >>> pure_diagram(parse_cactus_word("s1,2", 3)) is None
+    True
+    """
+    chords, assign = _walk(w.letters)
+    return DiagramWord(w.n, tuple(chords)) if _unmoved(assign) else None
+
+
+def _length_parity(letters) -> tuple[int, int]:
+    """Bit q - p set iff the letters of that length occur an odd number of
+    times, and the largest q; `Counter` counts the letters in C, so the
+    loop runs once per distinct generator."""
+    parity = top = 0
+    for (p, q), count in Counter(letters).items():
+        if count & 1:
+            parity ^= 1 << (q - p)
+        if q > top:
+            top = q
+    return parity, top
+
+
 def equal_in_Jn(g: CactusWord, h: CactusWord) -> bool:
     """Decide equality in the cactus group.
 
-    One walk of g h^{-1} feeds three stages, cheapest first.  g and h can
-    only be equal when g h^{-1} is pure.  A pure word whose chord diagram
-    meets some chord an odd number of times is nontrivial, since that
-    parity survives both diagram relations; `Counter` counts the chords in
-    C.  Only a pure word of even parity is reduced: it is trivial iff its
-    chord diagram reduces to the empty diagram word.
+    Four stages decide g h^{-1}, cheapest first.  The length parity needs
+    no walk: every defining relation keeps the count of letters of each
+    length q - p mod 2, so an odd count means g != h.  `Counter` counts
+    the letters in C, and the largest q it finds spares the walk its own
+    pass.  The walk then gives the permutation, which must be the
+    identity, and the chords: a pure word that meets some chord an odd
+    number of times is nontrivial, since that parity survives both
+    diagram relations.  This chord parity refines the length parity and
+    separates far more pure pairs (a quotient of dimension
+    2^n - n(n+1)/2 - 1, against n - 1).  Only a pure word of even chord
+    parity is reduced: it is trivial iff its chord diagram reduces to the
+    empty diagram word.
 
     >>> from .words import parse_cactus_word
     >>> equal_in_Jn(parse_cactus_word("s1,2 s3,4", 4), parse_cactus_word("s3,4 s1,2", 4))
@@ -124,7 +169,11 @@ def equal_in_Jn(g: CactusWord, h: CactusWord) -> bool:
     """
     if g.n != h.n:
         raise ValueError(f"arity mismatch: {g.n} != {h.n}")
-    chords, assign = _walk(g.letters + h.letters[::-1])
+    letters = g.letters + h.letters[::-1]
+    parity, top = _length_parity(letters)
+    if parity:
+        return False
+    chords, assign = _walk(letters, top)
     if not _unmoved(assign):
         return False
     if any(count & 1 for count in Counter(chords).values()):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import kernels
-from .cactus_core import diagram_of, is_pure
+from .cactus_core import pure_diagram
 from .words import CactusGenerator, CactusWord, DiagramWord, chord_mask, chord_members
 
 __all__ = [
@@ -106,6 +106,14 @@ def projection_dimension(n: int) -> int:
     return (1 << n) - n * (n + 1) // 2 - 1
 
 
+def _odd_chords(w: CactusWord) -> frozenset:
+    """`delta` of a pure word's diagram, from one walk of the word."""
+    diagram = pure_diagram(w)
+    if diagram is None:
+        raise ValueError("word is not pure (nontrivial strand permutation)")
+    return delta(diagram)
+
+
 def gamma_circ_projection(w: CactusWord) -> tuple:
     """Parity vector of a pure word over the chords with more than two
     strands, in ascending mask order.
@@ -118,9 +126,7 @@ def gamma_circ_projection(w: CactusWord) -> tuple:
         raise ValueError(
             f"arity {w.n} exceeds {MAX_PROJECTION_ARITY}: the projection has 2^n entries"
         )
-    if not is_pure(w):
-        raise ValueError("word is not pure (nontrivial strand permutation)")
-    odd = delta(diagram_of(w))
+    odd = _odd_chords(w)
     return tuple(1 if m in odd else 0 for m in big_chord_sets(w.n))
 
 
@@ -130,9 +136,7 @@ def in_gamma_circ(w: CactusWord) -> bool:
     agree for pure words; disagreement signals an internal bug.  Reads
     only the odd chords, so unlike `gamma_circ_projection` it costs no 2^n.
     """
-    if not is_pure(w):
-        raise ValueError("word is not pure (nontrivial strand permutation)")
-    odd = delta(diagram_of(w))
+    odd = _odd_chords(w)
     projection_zero = not any(m.bit_count() > 2 for m in odd)
     even = not odd
     if projection_zero != even:
@@ -177,9 +181,10 @@ def construct_pure_generator(n: int, chord: int | Iterable[int]) -> CactusWord:
     letters = (*gather, CactusGenerator(1, k), *unreverse, *reversed(gather))
 
     word = CactusWord(n, letters)
-    if not is_pure(word):
+    diagram = pure_diagram(word)
+    if diagram is None:
         raise RuntimeError("constructed generator is not pure")
-    big = [m for m in diagram_of(word).letters if m.bit_count() > 2]
+    big = [m for m in diagram.letters if m.bit_count() > 2]
     if big != [mask]:
         raise RuntimeError("constructed generator has wrong big-chord content")
     return word

@@ -1,9 +1,16 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from cactus_groups import kernels
-from cactus_groups.cactus_core import diagram_of, equal_in_Jn, inverse_word, is_pure, word_permutation
+from cactus_groups import cactus_core, kernels
+from cactus_groups.cactus_core import (
+    diagram_of,
+    equal_in_Jn,
+    inverse_word,
+    is_pure,
+    pure_diagram,
+    word_permutation,
+)
 from cactus_groups.diagram_group import construct_pure_generator, delta, in_gamma_circ
 from cactus_groups.words import (
     CactusGenerator,
@@ -212,8 +219,8 @@ def test_equal_in_Jn_distinguishes(rng):
 
 
 def _triple(n, k):
-    """(s_{k,k+1} s_{k,k+2})^3: pure, and it meets the chord {k,k+1,k+2}
-    three times, so its parity is odd."""
+    """(s_{k,k+1} s_{k,k+2})^3: pure, with three letters of length 1 and
+    three of length 2, so its length parity is odd."""
     return CactusWord(n, (CactusGenerator(k, k + 1), CactusGenerator(k, k + 2)) * 3)
 
 
@@ -221,23 +228,43 @@ def _commutator(a, b):
     return a * b * inverse_word(a) * inverse_word(b)
 
 
+def _length_parity(w):
+    return cactus_core._length_parity(w.letters)[0]
+
+
 @st.composite
 def word_pairs(draw):
-    """(g, h) at n <= 8, h one of: a random word; g with an odd-parity pure
-    word inserted, which parity separates; g with an even-parity pure word
-    inserted, which only the reduction can tell apart."""
-    n = draw(st.integers(3, 8))
+    """(g, h) at n <= 8, one kind for each stage of `equal_in_Jn`: h a
+    random word; h equal to g but for two cut-in letters in the other
+    order, which only the permutation tells apart; or h equal to g with a
+    pure word cut in, which has odd length parity, or even length parity
+    and odd chord parity, or even parity of both kinds, which only the
+    reduction can tell apart."""
+    kind = draw(st.sampled_from(["random", "length", "permutation", "chord", "reduction"]))
+    n = draw(st.integers(4 if kind == "chord" else 3, 8))
     generators = st.integers(2, n).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: (p, q)))
 
     def word():
         return CactusWord(n, tuple(CactusGenerator(*g) for g in draw(st.lists(generators, max_size=12))))
 
     g = word()
-    kind = draw(st.sampled_from(["random", "odd", "even"]))
     if kind == "random":
         return g, word()
-    if kind == "odd":
+    cut = draw(st.integers(0, len(g)))
+    head, tail = g.letters[:cut], g.letters[cut:]
+    if kind == "permutation":
+        k = draw(st.integers(1, n - 2))
+        a, b = CactusGenerator(k, k + 1), CactusGenerator(k + 1, k + 2)
+        return CactusWord(n, head + (a, b) + tail), CactusWord(n, head + (b, a) + tail)
+    if kind == "length":
         x = _triple(n, draw(st.integers(1, n - 2)))
+    elif kind == "chord":
+        # two generators for chords of one size: their big letters have one
+        # length, and their adjacent swaps come in equal numbers mod 2
+        size = draw(st.integers(3, n - 1))
+        chord = st.frozensets(st.integers(1, n), min_size=size, max_size=size)
+        c, d = draw(st.lists(chord, min_size=2, max_size=2, unique=True))
+        x = construct_pure_generator(n, c) * construct_pure_generator(n, d)
     elif draw(st.booleans()):
         x = _triple(n, draw(st.integers(1, n - 2)))
         x = x * x
@@ -246,8 +273,7 @@ def word_pairs(draw):
         x = _commutator(
             construct_pure_generator(n, draw(chords)), construct_pure_generator(n, draw(chords))
         )
-    cut = draw(st.integers(0, len(g)))
-    return g, CactusWord(n, g.letters[:cut] + x.letters + g.letters[cut:])
+    return g, CactusWord(n, head + x.letters + tail)
 
 
 @given(word_pairs())
@@ -258,16 +284,30 @@ def test_equal_in_Jn_matches_the_reduction_alone(pair):
 
 
 def test_each_stage_of_equal_in_Jn_decides_some_pair():
+    e3, e4 = CactusWord(3, ()), CactusWord(4, ())
+    # length parity: three letters each of lengths 1 and 2
     x = _triple(3, 1)
-    assert delta(diagram_of(x))
-    assert not delta(diagram_of(x * x))
+    assert _length_parity(x) == 0b110
+    assert not equal_in_Jn(x, e3)
+    # permutation: the same letters, so even length parity
+    a, b = parse_cactus_word("s1,2 s2,3", 3), parse_cactus_word("s2,3 s1,2", 3)
+    assert _length_parity(a * inverse_word(b)) == 0
+    assert word_permutation(a) != word_permutation(b)
+    assert not equal_in_Jn(a, b)
+    # chord parity: pure, even length parity, t{1,2,3} and t{1,2,4} once each
+    y = construct_pure_generator(4, 0b0111) * construct_pure_generator(4, 0b1011)
+    assert _length_parity(y) == 0 and is_pure(y)
+    assert delta(diagram_of(y)) >= {0b0111, 0b1011}
+    assert not equal_in_Jn(y, e4)
+    # the reduction: pure and even in both parities, yet 6 chords remain
+    assert _length_parity(x * x) == 0 and not delta(diagram_of(x * x))
     assert len(kernels.lean_reduce(diagram_of(x * x).letters)) == 6
+    assert not equal_in_Jn(x * x, e3)
+    assert equal_in_Jn(x * x, x * x)
     y = construct_pure_generator(4, 0b0111)
     z = construct_pure_generator(4, 0b1110)
     assert not delta(diagram_of(_commutator(y, z)))
-    assert not equal_in_Jn(_commutator(y, z), CactusWord(4, ()))
-    assert not equal_in_Jn(x * x, CactusWord(3, ()))
-    assert equal_in_Jn(x * x, x * x)
+    assert not equal_in_Jn(_commutator(y, z), e4)
 
 
 def test_parity_separated_pairs_skip_the_reduction(monkeypatch):
@@ -279,11 +319,73 @@ def test_parity_separated_pairs_skip_the_reduction(monkeypatch):
     g = parse_cactus_word("s1,4 s2,5 s1,2", 5)
     assert not equal_in_Jn(x, CactusWord(5, ()))
     assert not equal_in_Jn(g * x * g, g * g)
-    # a permutation mismatch never gets that far either
-    assert not equal_in_Jn(g, CactusWord(5, ()))
+    # nor do a permutation mismatch and an odd chord parity
+    assert not equal_in_Jn(g, parse_cactus_word("s2,5 s1,4 s1,2", 5))
+    y = construct_pure_generator(5, 0b00111) * construct_pure_generator(5, 0b10101)
+    assert not equal_in_Jn(g * y, g)
     # an even-parity pair does reach the reduction
     with pytest.raises(AssertionError, match="lean_reduce called"):
         equal_in_Jn(x * x, CactusWord(5, ()))
+
+
+def test_length_separated_pairs_are_never_walked(monkeypatch):
+    def unreachable(letters, top=None):
+        raise AssertionError("_walk called")
+
+    monkeypatch.setattr(cactus_core, "_walk", unreachable)
+    x = _triple(5, 2)
+    g = parse_cactus_word("s1,4 s2,5 s1,2", 5)
+    assert not equal_in_Jn(x, CactusWord(5, ()))
+    assert not equal_in_Jn(g * x * g, g * g)
+    assert not equal_in_Jn(g, CactusWord(5, ()))
+    # a pair of even length parity is walked, equal or not
+    for h in (g, parse_cactus_word("s2,5 s1,4 s1,2", 5), g * x * x):
+        with pytest.raises(AssertionError, match="_walk called"):
+            equal_in_Jn(g, h)
+
+
+@st.composite
+def relation_instances(draw):
+    """(n, u, a, x, y): a word u, a generator a, and the two sides x, y of
+    a defining relation (square, disjoint swap, nested rewrite), in either
+    order."""
+    n = draw(st.integers(2, 8))
+    gens = all_generators(n)
+    u = draw(st.lists(st.sampled_from(gens), max_size=10))
+    a = draw(st.sampled_from(gens))
+    relation = draw(st.sampled_from(["square", "disjoint", "nested"]))
+    if relation == "square":
+        x, y = [a, a], []
+    elif relation == "disjoint":
+        others = [b for b in gens if b.p > a.q or b.q < a.p]
+        assume(others)
+        b = draw(st.sampled_from(others))
+        x, y = [a, b], [b, a]
+    else:
+        inside = [b for b in gens if a.p <= b.p and b.q <= a.q and b != a]
+        assume(inside)
+        b = draw(st.sampled_from(inside))
+        x, y = [a, b], [CactusGenerator(a.p + a.q - b.q, a.p + a.q - b.p), a]
+    return (n, u, a, x, y) if draw(st.booleans()) else (n, u, a, y, x)
+
+
+@given(relation_instances(), st.data())
+def test_defining_relations_keep_the_length_parity(instance, data):
+    n, u, a, x, y = instance
+    cut = data.draw(st.integers(0, len(u)))
+    before, after = u[:cut] + x + u[cut:], u[:cut] + y + u[cut:]
+    parity = cactus_core._length_parity
+    assert parity(before)[0] == parity(after)[0]
+    assert equal_in_Jn(CactusWord(n, tuple(before)), CactusWord(n, tuple(after)))
+    # and one letter toggles the bit of its length
+    assert parity(u + [a])[0] == parity(u)[0] ^ 1 << a.q - a.p
+
+
+def test_pure_diagram_is_is_pure_and_diagram_of(rng):
+    for _ in range(200):
+        u = random_cactus_word(rng, rng.randrange(2, 10), rng.randrange(0, 30))
+        for w in (u, u * inverse_word(u), u * u):
+            assert pure_diagram(w) == (diagram_of(w) if is_pure(w) else None)
 
 
 def test_equal_in_Jn_arity_mismatch():

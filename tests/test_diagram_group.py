@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cactus_groups import cactus_core, diagram_group
 from cactus_groups.cactus_core import diagram_of, inverse_word, is_pure
 from cactus_groups.diagram_group import (
     MAX_PROJECTION_ARITY,
@@ -158,6 +159,38 @@ def test_gamma_circ_projection_rejects_non_pure():
         gamma_circ_projection(parse_cactus_word("s1,2", 3))
     with pytest.raises(ValueError):
         in_gamma_circ(parse_cactus_word("s1,2", 3))
+
+
+def test_purity_and_diagram_take_one_walk(monkeypatch):
+    walks = []
+    walk = cactus_core._walk
+
+    def counted(letters, top=None):
+        walks.append(len(letters))
+        return walk(letters, top)
+
+    monkeypatch.setattr(cactus_core, "_walk", counted)
+    impure = r"^word is not pure \(nontrivial strand permutation\)$"
+    for call in (in_gamma_circ, gamma_circ_projection):
+        walks.clear()
+        call(parse_cactus_word(WORKED, 3))
+        assert walks == [6]
+        walks.clear()
+        with pytest.raises(ValueError, match=impure):
+            call(parse_cactus_word("s1,2", 3))
+        assert walks == [1]
+    walks.clear()
+    w = construct_pure_generator(5, {1, 3, 5})
+    assert walks == [len(w)]
+
+
+def test_a_broken_construction_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(diagram_group, "pure_diagram", lambda w: None)
+    with pytest.raises(RuntimeError, match="not pure"):
+        construct_pure_generator(4, {1, 2, 4})
+    monkeypatch.setattr(diagram_group, "pure_diagram", lambda w: DiagramWord(w.n, (0b0111,)))
+    with pytest.raises(RuntimeError, match="wrong big-chord content"):
+        construct_pure_generator(4, {1, 2, 4})
 
 
 def test_in_gamma_circ_examples(rng):
