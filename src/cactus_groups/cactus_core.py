@@ -41,7 +41,8 @@ more: its image on the pure group, Gamma / Gamma-circ, has dimension
 2^n - n(n+1)/2 - 1, against at most n - 1 for the length parity, so most
 unequal pairs with equal permutations never reach the reduction.
 `pure_diagram` gives `is_pure` and `diagram_of` from one walk, for
-callers that need both.
+callers that need both; `is_pure` and `word_permutation` alone take
+`_final_labels`, an assignment-only walk that builds no chords.
 
 All of these read a word in one walk over positions 1..max q, since the
 rest never move; only `word_permutation`, with n entries out, costs n.
@@ -86,6 +87,17 @@ def _unmoved(assign: list[int]) -> bool:
     return all(bit == 1 << i for i, bit in enumerate(assign))
 
 
+def _final_labels(letters) -> list[int]:
+    """The label, numbered from 0, at each position 1..max q at the end of
+    the walk: `_walk`'s final assignment without the chords."""
+    labels = list(range(max(map(itemgetter(1), letters), default=0)))
+    for p, q in letters:
+        segment = labels[p - 1 : q]
+        segment.reverse()
+        labels[p - 1 : q] = segment
+    return labels
+
+
 def word_permutation(w: CactusWord) -> tuple[int, ...]:
     """Image of a word in the symmetric group: entry i - 1 is the final
     position of label i.
@@ -95,14 +107,15 @@ def word_permutation(w: CactusWord) -> tuple[int, ...]:
     (3, 1, 2, 4)
     """
     images = list(range(1, w.n + 1))
-    for pos, bit in enumerate(_walk(w.letters)[1], start=1):
-        images[bit.bit_length() - 1] = pos
+    for pos, label in enumerate(_final_labels(w.letters), start=1):
+        images[label] = pos
     return tuple(images)
 
 
 def is_pure(w: CactusWord) -> bool:
     """True iff the word lies in the kernel of the permutation map."""
-    return _unmoved(_walk(w.letters)[1])
+    labels = _final_labels(w.letters)
+    return labels == list(range(len(labels)))
 
 
 def inverse_word(w: CactusWord) -> CactusWord:

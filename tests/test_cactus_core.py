@@ -344,6 +344,19 @@ def test_length_separated_pairs_are_never_walked(monkeypatch):
             equal_in_Jn(g, h)
 
 
+def test_permutation_and_purity_build_no_chords(monkeypatch):
+    def unreachable(letters, top=None):
+        raise AssertionError("_walk called")
+
+    monkeypatch.setattr(cactus_core, "_walk", unreachable)
+    g = parse_cactus_word("s1,3 s1,2", 4)
+    assert word_permutation(g) == (3, 1, 2, 4)
+    assert not is_pure(g)
+    assert is_pure(g * inverse_word(g))
+    assert is_pure(CactusWord(4, ()))
+    assert word_permutation(CactusWord(4, ())) == (1, 2, 3, 4)
+
+
 @st.composite
 def relation_instances(draw):
     """(n, u, a, x, y): a word u, a generator a, and the two sides x, y of

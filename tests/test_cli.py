@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactus_groups import cli, diagram_group
+from cactus_groups import cli
 from cactus_groups.cactus_core import word_permutation
 from cactus_groups.certificates import SeparationCertificate, verify_certificate
 from cactus_groups.diagram_group import lex_normal_form
@@ -499,13 +499,6 @@ def test_perm_memory_follows_the_word(monkeypatch):
     assert outcome == [0]
     assert sink.size == len("[" + ",".join(map(str, range(1, 200001))) + "]\n")
     assert (sink.head, sink.tail) == ("[3,2,1,", ",200000]\n")
-
-
-def test_a_broken_generator_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(diagram_group, "pure_diagram", lambda w: None)
-    code, out, err = run(capsys, "make-generator", "--n", "4", "t{1,2,4}")
-    assert (code, out) == (3, "")
-    assert err == "internal error: RuntimeError: constructed generator is not pure\n"
 
 
 def test_make_generator_memory_follows_the_chord(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactus_groups import cactus_core, diagram_group
+from cactus_groups import cactus_core
 from cactus_groups.cactus_core import diagram_of, inverse_word, is_pure
 from cactus_groups.diagram_group import (
     MAX_PROJECTION_ARITY,
@@ -24,7 +24,13 @@ from cactus_groups.words import (
     parse_cactus_word,
     parse_diagram_word,
 )
-from helpers import peak_bytes, random_cactus_word, reference_is_lean
+from helpers import (
+    all_generators,
+    peak_bytes,
+    random_cactus_word,
+    reference_is_lean,
+    reference_label_walk,
+)
 from oracle import relation_neighbors
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
@@ -163,13 +169,16 @@ def test_gamma_circ_projection_rejects_non_pure():
 
 def test_purity_and_diagram_take_one_walk(monkeypatch):
     walks = []
-    walk = cactus_core._walk
 
-    def counted(letters, top=None):
-        walks.append(len(letters))
-        return walk(letters, top)
+    def counted(walk):
+        def wrapper(letters, *top):
+            walks.append(len(letters))
+            return walk(letters, *top)
 
-    monkeypatch.setattr(cactus_core, "_walk", counted)
+        return wrapper
+
+    for name in ("_walk", "_final_labels"):
+        monkeypatch.setattr(cactus_core, name, counted(getattr(cactus_core, name)))
     impure = r"^word is not pure \(nontrivial strand permutation\)$"
     for call in (in_gamma_circ, gamma_circ_projection):
         walks.clear()
@@ -179,18 +188,10 @@ def test_purity_and_diagram_take_one_walk(monkeypatch):
         with pytest.raises(ValueError, match=impure):
             call(parse_cactus_word("s1,2", 3))
         assert walks == [1]
+    # the generator's purity and big chord are Tier-1 facts, not run-time checks
     walks.clear()
-    w = construct_pure_generator(5, {1, 3, 5})
-    assert walks == [len(w)]
-
-
-def test_a_broken_construction_is_an_internal_error(monkeypatch):
-    monkeypatch.setattr(diagram_group, "pure_diagram", lambda w: None)
-    with pytest.raises(RuntimeError, match="not pure"):
-        construct_pure_generator(4, {1, 2, 4})
-    monkeypatch.setattr(diagram_group, "pure_diagram", lambda w: DiagramWord(w.n, (0b0111,)))
-    with pytest.raises(RuntimeError, match="wrong big-chord content"):
-        construct_pure_generator(4, {1, 2, 4})
+    construct_pure_generator(5, {1, 3, 5})
+    assert walks == []
 
 
 def test_in_gamma_circ_examples(rng):
@@ -213,20 +214,33 @@ def test_construct_pure_generator_accepts_masks():
     assert construct_pure_generator(3, 7) == construct_pure_generator(3, {1, 2, 3})
 
 
-@pytest.mark.parametrize(
-    "n, chord",
-    [
-        (4, {1, 2, 3, 4}),
-        (5, {1, 3, 5}),
-        (5, {2, 3, 4, 5}),
-        (6, {1, 4, 6}),
-    ],
-)
-def test_construct_pure_generator_postconditions(n, chord):
-    w = construct_pure_generator(n, chord)
-    assert is_pure(w)
-    big = [m for m in diagram_of(w).letters if bin(m).count("1") > 2]
-    assert big == [chord_mask(chord, n)]
+def assert_generator_postconditions(n, mask):
+    """Pure, and the only chord on more than two strands is ``mask``, by a
+    walk that shares no code with `cactus_core`."""
+    diagram, assign = reference_label_walk(construct_pure_generator(n, mask))
+    assert assign == list(range(1, n + 1))
+    assert [m for m in diagram.letters if m.bit_count() > 2] == [mask]
+
+
+def test_construct_pure_generator_postconditions():
+    # every chord on more than two strands up to strand 10, once, at n = its
+    # top strand; this covers every chord the CI smoke step names
+    chords = big_chord_sets(10)
+    assert len(chords) == 968
+    assert {0b111, 0b1011, 0b10101} <= set(chords)  # t{1,2,3}, t{1,2,4}, t{1,3,5}
+    for mask in chords:
+        assert_generator_postconditions(mask.bit_length(), mask)
+
+
+@st.composite
+def wide_chords(draw):
+    n = draw(st.integers(3, 64))
+    return n, chord_mask(draw(st.sets(st.integers(1, n), min_size=3)), n)
+
+
+@given(wide_chords())
+def test_construct_pure_generator_postconditions_up_to_64_strands(case):
+    assert_generator_postconditions(*case)
 
 
 def test_construct_pure_generator_ignores_strands_past_the_chord():
@@ -286,17 +300,24 @@ def test_constructed_generators_hit_standard_basis():
             assert vec == tuple(1 if i == idx else 0 for i in range(len(big)))
 
 
-def test_projection_equivalence_on_pure_words(rng):
-    # zero projection coincides with full chord-parity evenness of the diagram
-    for _ in range(150):
-        n = rng.randrange(3, 6)
-        u = random_cactus_word(rng, n, rng.randrange(0, 5))
-        big = big_chord_sets(n)
-        core = parse_cactus_word("", n)
-        for _ in range(rng.randrange(0, 3)):
-            core = core * construct_pure_generator(n, rng.choice(big))
-        w = u * core * inverse_word(u)
-        assert is_pure(w)
-        zero = all(v == 0 for v in gamma_circ_projection(w))
-        assert zero == in_even_subgroup(diagram_of(w))
-        assert in_gamma_circ(w) == zero
+@st.composite
+def conjugated_generator_products(draw):
+    """u * (a product of pure generators) * u^-1 at n <= 8; a few chords
+    per product, so chords repeat and both parities occur."""
+    n = draw(st.integers(3, 8))
+    gens = all_generators(n)
+    u = CactusWord(n, tuple(draw(st.lists(st.sampled_from(gens), max_size=8))))
+    pool = draw(st.lists(st.sampled_from(big_chord_sets(n)), min_size=1, max_size=3))
+    core = CactusWord(n, ())
+    for mask in draw(st.lists(st.sampled_from(pool), max_size=4)):
+        core = core * construct_pure_generator(n, mask)
+    return u * core * inverse_word(u)
+
+
+@given(conjugated_generator_products())
+def test_projection_equivalence_on_pure_words(w):
+    # on a pure word, no odd big chord, no odd chord at all and
+    # in_gamma_circ agree
+    assert is_pure(w)
+    no_odd_big = not any(gamma_circ_projection(w))
+    assert no_odd_big == in_even_subgroup(diagram_of(w)) == in_gamma_circ(w)
