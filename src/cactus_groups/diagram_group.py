@@ -149,7 +149,8 @@ def construct_pure_generator(n: int, chord: int | Iterable[int]) -> CactusWord:
     reverses that block, U's k(k-1)/2 swaps sort it again and G^-1
     scatters it.  No letter reaches past c_k, so memory follows the chord.
     Purity and the big-chord content are checked for every chord up to
-    strand 10 by the Tier-1 test `test_construct_pure_generator_postconditions`.
+    strand 10 by the Tier-1 test
+    `test_construct_pure_generator_postconditions_up_to_10_strands`.
 
     >>> from .words import format_cactus_word
     >>> format_cactus_word(construct_pure_generator(3, (1, 2, 3)))

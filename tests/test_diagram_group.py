@@ -222,7 +222,20 @@ def assert_generator_postconditions(n, mask):
     assert [m for m in diagram.letters if m.bit_count() > 2] == [mask]
 
 
-def test_construct_pure_generator_postconditions():
+@pytest.mark.parametrize(
+    "n, chord",
+    [
+        (4, {1, 2, 3, 4}),
+        (5, {1, 3, 5}),
+        (5, {2, 3, 4, 5}),
+        (6, {1, 4, 6}),
+    ],
+)
+def test_construct_pure_generator_postconditions(n, chord):
+    assert_generator_postconditions(n, chord_mask(chord, n))
+
+
+def test_construct_pure_generator_postconditions_up_to_10_strands():
     # every chord on more than two strands up to strand 10, once, at n = its
     # top strand; this covers every chord the CI smoke step names
     chords = big_chord_sets(10)
