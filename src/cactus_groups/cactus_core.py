@@ -26,20 +26,19 @@ p..q.  Chords record labels, not positions, which makes the restriction of
 non-pure words it is still well defined (a cocycle) and powers the
 equality test g == h  iff  g h^{-1} is trivial.
 
-`equal_in_Jn` decides that test in four stages, cheapest first: the
-length parity, the permutation, the chord parity, the lean reduction.
-Counting letters by their length q - p mod 2 is a homomorphism onto
-(Z/2)^(n-1), the abelianization of J_n: the square removes two letters of
-one length, commutation reorders letters, and the nested rewrite swaps
-s_{m,r} for s_{p+q-r,p+q-m}, of the same length.  So g h^{-1} with an odd
-count at some length is nontrivial, and that stage needs no walk.  The
-chord parity is sound because the diagram map is a homomorphism on pure
-words and each chord's occurrence count mod 2 is invariant under both
-diagram relations.  It refines the length parity, since a letter of
-length l gives a chord on l + 1 strands, and it stays because it sees far
-more: its image on the pure group, Gamma / Gamma-circ, has dimension
-2^n - n(n+1)/2 - 1, against at most n - 1 for the length parity, so most
-unequal pairs with equal permutations never reach the reduction.
+`equal_in_Jn` decides that test in three stages, cheapest first: the
+length parity, the permutation, the lean reduction.  Counting letters by
+their length q - p mod 2 is a homomorphism onto (Z/2)^(n-1), the
+abelianization of J_n: the square removes two letters of one length,
+commutation reorders letters, and the nested rewrite swaps s_{m,r} for
+s_{p+q-r,p+q-m}, of the same length.  So g h^{-1} with an odd count at
+some length is nontrivial, and that stage needs no walk.  The permutation
+must be the identity before the reduction's answer holds, since the
+diagram map is a homomorphism only on pure words.  A chord met an odd
+number of times is the F2 separation at degree 1, and the reduction
+never cancels it, since both diagram relations keep each chord's count
+mod 2; the paper's map onto Gamma / Gamma-circ, which reads those
+parities, stays in `delta`, `in_gamma_circ` and `gamma_circ_projection`.
 `pure_diagram` gives `is_pure` and `diagram_of` from one walk, for
 callers that need both; `is_pure` and `word_permutation` alone take
 `_final_labels`, an assignment-only walk that builds no chords.
@@ -163,18 +162,16 @@ def _length_parity(letters) -> tuple[int, int]:
 def equal_in_Jn(g: CactusWord, h: CactusWord) -> bool:
     """Decide equality in the cactus group.
 
-    Four stages decide g h^{-1}, cheapest first.  The length parity needs
+    Three stages decide g h^{-1}, cheapest first.  The length parity needs
     no walk: every defining relation keeps the count of letters of each
     length q - p mod 2, so an odd count means g != h.  `Counter` counts
     the letters in C, and the largest q it finds spares the walk its own
     pass.  The walk then gives the permutation, which must be the
-    identity, and the chords: a pure word that meets some chord an odd
-    number of times is nontrivial, since that parity survives both
-    diagram relations.  This chord parity refines the length parity and
-    separates far more pure pairs (a quotient of dimension
-    2^n - n(n+1)/2 - 1, against n - 1).  Only a pure word of even chord
-    parity is reduced: it is trivial iff its chord diagram reduces to the
-    empty diagram word.
+    identity, and the chords of a pure word, which is trivial iff they
+    reduce to the empty diagram word.  No pass counts the chords: a chord
+    met an odd number of times is the F2 separation at degree 1, and it
+    never reduces away.  The paper's parity map stays in `delta`,
+    `in_gamma_circ` and `gamma_circ_projection`.
 
     >>> from .words import parse_cactus_word
     >>> equal_in_Jn(parse_cactus_word("s1,2 s3,4", 4), parse_cactus_word("s3,4 s1,2", 4))
@@ -188,7 +185,5 @@ def equal_in_Jn(g: CactusWord, h: CactusWord) -> bool:
         return False
     chords, assign = _walk(letters, top)
     if not _unmoved(assign):
-        return False
-    if any(count & 1 for count in Counter(chords).values()):
         return False
     return kernels.lean_reduce(chords) == ()

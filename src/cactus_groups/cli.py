@@ -217,7 +217,8 @@ _VERBS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple, tuple]] = 
     ),
     "delta": ("chords met an odd number of times", _cmd_delta, (_N,), (_WORD,)),
     "gamma0": (
-        "is the cactus word pure with an all-even diagram", _cmd_gamma0, (_N,), (_WORD,)
+        "does the pure cactus word meet every chord an even number of times", _cmd_gamma0,
+        (_N,), (_WORD,),
     ),
     "project": ("parity vector of a pure cactus word", _cmd_project, (_N,), (_WORD,)),
     "make-generator": (

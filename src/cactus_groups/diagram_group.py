@@ -55,11 +55,10 @@ def lex_normal_form(w: DiagramWord) -> DiagramWord:
 def equal_diagrams(w1: DiagramWord, w2: DiagramWord) -> bool:
     """Decide equality in the diagram group via normal forms.
 
-    Unlike `equal_in_Jn`, it counts no parities first.  There the chords
-    come from a walk that runs anyway; here counting would be an extra
-    pass over both words, and a pair that differs by a commutator
-    ``c d c d`` of crossing chords has even parity, so it would pay for
-    the pass and still be reduced.
+    Like `equal_in_Jn`, it counts no chord parities first: an odd chord
+    never reduces away, so the normal forms tell such a pair apart.
+    `equal_in_Jn` counts only the lengths of its cactus letters, which
+    spares it the strand walk; a diagram word has no walk to spare.
     """
     if w1.n != w2.n:
         raise ValueError(f"arity mismatch: {w1.n} != {w2.n}")

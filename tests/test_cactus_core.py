@@ -237,9 +237,9 @@ def word_pairs(draw):
     """(g, h) at n <= 8, one kind for each stage of `equal_in_Jn`: h a
     random word; h equal to g but for two cut-in letters in the other
     order, which only the permutation tells apart; or h equal to g with a
-    pure word cut in, which has odd length parity, or even length parity
-    and odd chord parity, or even parity of both kinds, which only the
-    reduction can tell apart."""
+    pure word cut in, which has odd length parity, or else only the
+    reduction can tell apart: odd chord parity (kind "chord"), or even
+    parity of both kinds."""
     kind = draw(st.sampled_from(["random", "length", "permutation", "chord", "reduction"]))
     n = draw(st.integers(4 if kind == "chord" else 3, 8))
     generators = st.integers(2, n).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: (p, q)))
@@ -294,12 +294,14 @@ def test_each_stage_of_equal_in_Jn_decides_some_pair():
     assert _length_parity(a * inverse_word(b)) == 0
     assert word_permutation(a) != word_permutation(b)
     assert not equal_in_Jn(a, b)
-    # chord parity: pure, even length parity, t{1,2,3} and t{1,2,4} once each
+    # the reduction: pure, even length parity, t{1,2,3} and t{1,2,4} once
+    # each, so they remain after it
     y = construct_pure_generator(4, 0b0111) * construct_pure_generator(4, 0b1011)
     assert _length_parity(y) == 0 and is_pure(y)
     assert delta(diagram_of(y)) >= {0b0111, 0b1011}
+    assert {0b0111, 0b1011} <= set(kernels.lean_reduce(diagram_of(y).letters))
     assert not equal_in_Jn(y, e4)
-    # the reduction: pure and even in both parities, yet 6 chords remain
+    # and pure and even in both parities, yet 6 chords remain
     assert _length_parity(x * x) == 0 and not delta(diagram_of(x * x))
     assert len(kernels.lean_reduce(diagram_of(x * x).letters)) == 6
     assert not equal_in_Jn(x * x, e3)
@@ -319,13 +321,14 @@ def test_parity_separated_pairs_skip_the_reduction(monkeypatch):
     g = parse_cactus_word("s1,4 s2,5 s1,2", 5)
     assert not equal_in_Jn(x, CactusWord(5, ()))
     assert not equal_in_Jn(g * x * g, g * g)
-    # nor do a permutation mismatch and an odd chord parity
+    # nor does a permutation mismatch
     assert not equal_in_Jn(g, parse_cactus_word("s2,5 s1,4 s1,2", 5))
+    # a pure pair of even length parity reaches the reduction, an odd
+    # chord parity included
     y = construct_pure_generator(5, 0b00111) * construct_pure_generator(5, 0b10101)
-    assert not equal_in_Jn(g * y, g)
-    # an even-parity pair does reach the reduction
-    with pytest.raises(AssertionError, match="lean_reduce called"):
-        equal_in_Jn(x * x, CactusWord(5, ()))
+    for a, b in ((g * y, g), (x * x, CactusWord(5, ()))):
+        with pytest.raises(AssertionError, match="lean_reduce called"):
+            equal_in_Jn(a, b)
 
 
 def test_length_separated_pairs_are_never_walked(monkeypatch):
