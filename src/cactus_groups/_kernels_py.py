@@ -7,17 +7,18 @@ alphabet a trace monoid, and the diagram group a right-angled Coxeter
 group over it.
 
 The kernel layer is one primitive and its fold.  `append_slot` says where
-a letter goes when it is appended to a canonical word (the
-lexicographically least word of its commutation class).  By Anisimov and Knuth's inhomogeneous
-sorting, that canonical product is the old word with the letter inserted;
-by the Crisp-Godelle-Wiest stack reduction for right-angled groups, an
-equal letter the new one reaches across commuting letters cancels it.  One
-backward scan decides both, so a word of L letters costs L scans instead
-of a restart after every deletion.  `lean_reduce` scans less: a central
-letter (a singleton chord, or the union of the word's letters) commutes
-with everything and never meets a barrier, so its scan would cross the
-whole word.  It keeps only the parity of each central letter and places
-the odd ones last, each straight at its slot without a scan.  A word is
+a letter goes when it is appended to a canonical word (the least word of
+its commutation class).  By Anisimov and Knuth's inhomogeneous sorting,
+that canonical product is the old word with the letter inserted; by the
+Crisp-Godelle-Wiest stack reduction for right-angled groups, an equal
+letter the new one reaches across commuting letters cancels it.  One
+backward scan decides both, with no restart after a deletion.  The fold
+`lean_reduce` scans only when the new letter commutes with the last one
+and differs from it: an equal last letter cancels, and a crossing one
+blocks, so the letter goes at the end.  A central letter (a singleton
+chord, or the union of the word's letters) commutes with everything, so
+its scan would cross the whole word: the fold keeps its parity only and
+places the odd ones last, each at its slot without a scan.  A word is
 lean exactly when `lean_reduce` cancels none of its letters.
 
 `cactus_groups.kernels` re-exports both kernels from here.
@@ -67,7 +68,9 @@ def lean_reduce(word: Sequence[int]) -> Word:
 
     Appends the letters one at a time; a letter that reaches an equal one
     across commuting letters deletes it.  Any deletion order yields the same
-    element, and the fold keeps the prefix canonical throughout.
+    element, and the fold keeps the prefix canonical throughout.  An equal
+    last letter is popped and a crossing one blocks at once, so only a
+    letter that commutes with the last one calls `append_slot`.
 
     Central letters are held back: a singleton chord, or ``top``, the union
     of every letter of the word, commutes with every letter, so it can move
@@ -80,6 +83,8 @@ def lean_reduce(word: Sequence[int]) -> Word:
 
     >>> lean_reduce((4, 3, 7, 5, 1, 4, 7, 1, 1))
     (1, 3, 5)
+    >>> lean_reduce((3, 5, 5)), lean_reduce((12, 3))  # crosses, then pops; scans
+    ((3,), (3, 12))
     """
     top = 0
     for a in word:
@@ -93,11 +98,17 @@ def lean_reduce(word: Sequence[int]) -> Word:
             else:
                 odd.add(a)
             continue
-        slot = append_slot(out, a)
-        if slot < 0:
-            del out[~slot]
+        b = out[-1] if out else 0
+        if b == a:
+            out.pop()
+        elif (c := b & a) and c != b and c != a:
+            out.append(a)
         else:
-            out.insert(slot, a)
+            slot = append_slot(out, a)
+            if slot < 0:
+                del out[~slot]
+            else:
+                out.insert(slot, a)
     j = 0
     for a in sorted(odd):
         if a == top:

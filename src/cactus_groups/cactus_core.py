@@ -129,12 +129,13 @@ def diagram_of(w: CactusWord) -> DiagramWord:
     >>> format_diagram_word(diagram_of(parse_cactus_word("s1,3 s1,2", 3)))
     't{1,2,3} t{2,3}'
     """
-    return DiagramWord(w.n, tuple(_walk(w.letters)[0]))
+    # unchecked: a chord sums label bits below 1 << max q <= 1 << n
+    return DiagramWord._unchecked(w.n, tuple(_walk(w.letters)[0]))
 
 
 def pure_diagram(w: CactusWord) -> DiagramWord | None:
     """Chord diagram of a pure word, or None when the word is not pure:
-    `is_pure` and `diagram_of` in one walk.
+    `is_pure` and `diagram_of` in one walk, built unchecked like the latter.
 
     >>> from .words import format_diagram_word, parse_cactus_word
     >>> format_diagram_word(pure_diagram(parse_cactus_word("s1,2 s1,2", 3)))
@@ -143,7 +144,7 @@ def pure_diagram(w: CactusWord) -> DiagramWord | None:
     True
     """
     chords, assign = _walk(w.letters)
-    return DiagramWord(w.n, tuple(chords)) if _unmoved(assign) else None
+    return DiagramWord._unchecked(w.n, tuple(chords)) if _unmoved(assign) else None
 
 
 def _length_parity(letters) -> tuple[int, int]:

@@ -186,7 +186,7 @@ def verify_certificate(cert: SeparationCertificate) -> bool:
     letters = kernels.lean_reduce(word.letters)
     if not letters or cert.degree > len(letters):
         return False
-    lean = DiagramWord(word.n, letters)
+    lean = DiagramWord._unchecked(word.n, letters)  # letters of the parsed word
 
     if cert.ring == RING_F2:
         image = f2_image(lean, cert.degree).support

@@ -73,7 +73,8 @@ def _cmd_perm(args: SimpleNamespace) -> int:
     # prefix, then the tail in chunks, so memory follows the word, not n.
     m = max((g.q for g in w.letters), default=1)
     write = sys.stdout.write
-    write("[" + ",".join(map(str, word_permutation(CactusWord(m, w.letters)))))
+    # unchecked: m >= 1 and every letter's q is at most m
+    write("[" + ",".join(map(str, word_permutation(CactusWord._unchecked(m, w.letters)))))
     for start in range(m + 1, args.n + 1, _PERM_CHUNK):
         stop = min(start + _PERM_CHUNK, args.n + 1)
         write("," + ",".join(map(str, range(start, stop))))
@@ -111,7 +112,8 @@ def _cmd_deq(args: SimpleNamespace) -> int:
 
 def _cmd_delta(args: SimpleNamespace) -> int:
     w = parse_diagram_word(args.word, args.n)
-    print(format_diagram_word(DiagramWord(w.n, tuple(sorted(delta(w))))))
+    # unchecked: the odd chords are letters of the parsed word
+    print(format_diagram_word(DiagramWord._unchecked(w.n, tuple(sorted(delta(w))))))
     return 0
 
 

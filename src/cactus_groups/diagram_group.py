@@ -49,7 +49,8 @@ def lex_normal_form(w: DiagramWord) -> DiagramWord:
     and the union of the word's letters) are counted by parity and the odd
     ones appended last.
     """
-    return DiagramWord(w.n, kernels.lean_reduce(w.letters))
+    # unchecked: its letters are some of w's, which were checked at w.n
+    return DiagramWord._unchecked(w.n, kernels.lean_reduce(w.letters))
 
 
 def equal_diagrams(w1: DiagramWord, w2: DiagramWord) -> bool:

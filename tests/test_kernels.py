@@ -230,12 +230,13 @@ def plain_fold(word):
 
 
 def scanned_letters(word):
-    """``lean_reduce(word)`` and the letters it passed to `append_slot`."""
+    """``lean_reduce(word)`` and each call it made to `append_slot`: the
+    canonical prefix the call received, as a tuple, and the letter."""
     seen = []
     append_slot = _kernels_py.append_slot
 
     def recording(out, letter, cancel=True):
-        seen.append(letter)
+        seen.append((tuple(out), letter))
         return append_slot(out, letter, cancel)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -259,5 +260,44 @@ def test_lean_reduce_places_central_chords_without_a_scan(word):
     for a in word:
         top |= a
     result, seen = scanned_letters(word)
-    assert not [a for a in seen if a & (a - 1) == 0 or a == top]
+    assert not [a for _, a in seen if a & (a - 1) == 0 or a == top]
+    assert result == reference_lex_least(plain_fold(word))
+
+
+@st.composite
+def peek_words(draw):
+    """Words on n <= 5 strands or inside UNION_235, made of runs of three
+    kinds: crossing chains, where each letter crosses the one before;
+    immediate squares ``a a``; and nested runs, where each letter lies
+    inside or around the one before."""
+    span = draw(st.sampled_from([3, 7, 15, 31, UNION_235]))
+    alphabet = submasks(span)
+    word = []
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.sampled_from(alphabet))
+        kind = draw(st.sampled_from(["crossing", "square", "nested"]))
+        if kind == "square":
+            word += [a, a]
+            continue
+        word.append(a)
+        for _ in range(draw(st.integers(0, 4))):
+            if kind == "crossing":
+                nxt = [b for b in alphabet if _blocks(a, b)]
+            else:
+                nxt = [b for b in alphabet if b != a and (a & b == a or a & b == b)]
+            if not nxt:
+                break
+            a = draw(st.sampled_from(nxt))
+            word.append(a)
+    return tuple(word)
+
+
+@given(peek_words())
+@example((7, 3, 10, 10, 5))
+@example((3, 5, 5, 6, 6, 3))
+def test_lean_reduce_scans_only_letters_that_commute_with_the_last(word):
+    result, seen = scanned_letters(word)
+    for out, a in seen:
+        # an equal last letter pops, and a crossing one blocks: no scan
+        assert not out or (out[-1] != a and not _blocks(out[-1], a)), (out, a)
     assert result == reference_lex_least(plain_fold(word))

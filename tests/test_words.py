@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from cactus_groups import words
 from cactus_groups.algebra_f2 import F2Series
 from cactus_groups.algebra_z import ZSeries
+from cactus_groups.cactus_core import diagram_of, inverse_word, pure_diagram
+from cactus_groups.diagram_group import lex_normal_form
 from cactus_groups.words import (
     MAX_STRAND,
     CactusGenerator,
@@ -430,6 +432,23 @@ def test_tables_parse_printed_words_as_the_validating_path_does(case):
     parse, text, n, w = case
     assert parse_outcome(parse, text, n) == w
     assert validating_outcome(parse, text, n) == w
+
+
+@given(printed_word(max_n=TABLE_ARITY + 2))
+def test_results_built_unchecked_pass_the_checked_constructor(case):
+    # normal forms and diagrams skip the constructor's check; arities past
+    # the tables parse on the validating path
+    parse, text, n, _ = case
+    w = parse(text, n)
+    if parse is parse_diagram_word:
+        results = [lex_normal_form(w)]
+    else:
+        results = [diagram_of(w), pure_diagram(w * inverse_word(w)), pure_diagram(w)]
+        if results[-1] is None:  # w itself is not pure
+            results.pop()
+    for r in results:
+        assert type(r.letters) is tuple
+        assert DiagramWord(r.n, r.letters) == r
 
 
 @pytest.mark.parametrize(
