@@ -6,26 +6,31 @@ one contains the other or they are disjoint, which makes words over this
 alphabet a trace monoid, and the diagram group a right-angled Coxeter
 group over it.
 
-The kernel layer is one primitive and its fold.  `append_slot` says where
-a letter goes when it is appended to a canonical word (the least word of
-its commutation class).  By Anisimov and Knuth's inhomogeneous sorting,
-that canonical product is the old word with the letter inserted; by the
-Crisp-Godelle-Wiest stack reduction for right-angled groups, an equal
-letter the new one reaches across commuting letters cancels it.  One
-backward scan decides both, with no restart after a deletion.  The fold
-`lean_reduce` scans only when the new letter commutes with the last one
-and differs from it: an equal last letter cancels, and a crossing one
-blocks, so the letter goes at the end.  A central letter (a singleton
-chord, or the union of the word's letters) commutes with everything, so
-its scan would cross the whole word: the fold keeps its parity only and
-places the odd ones last, each at its slot without a scan.  A word is
-lean exactly when `lean_reduce` cancels none of its letters.
+The kernel layer is one backward scan, in two places.  `append_slot` says
+where a letter goes when it is appended to a canonical word (the least
+word of its commutation class).  By Anisimov and Knuth's inhomogeneous
+sorting, that canonical product is the old word with the letter
+inserted; by the Crisp-Godelle-Wiest stack reduction for right-angled
+groups, an equal letter the new one reaches across commuting letters
+cancels it.  One scan decides both, with no restart after a deletion.
+`append_slot` serves the algebras' images, and through them the checks
+of `verify_certificate`.  `lean_reduce` carries the same scan in its own
+loop, with no call per letter, and scans only when the new letter
+commutes with the last one and differs from it: an equal last letter
+cancels, and a crossing one blocks, so the letter goes at the end.  A
+central letter (a singleton chord, or the union of the word's letters)
+commutes with everything, so its scan would cross the whole word: the
+fold keeps its parity only and places the odd ones last, each at its
+slot without a scan.  A word is lean exactly when `lean_reduce` cancels
+none of its letters.
 
 `cactus_groups.kernels` re-exports both kernels from here.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 Word = tuple  # tuple[int, ...]
@@ -68,29 +73,30 @@ def lean_reduce(word: Sequence[int]) -> Word:
 
     Appends the letters one at a time; a letter that reaches an equal one
     across commuting letters deletes it.  Any deletion order yields the same
-    element, and the fold keeps the prefix canonical throughout.  An equal
-    last letter is popped and a crossing one blocks at once, so only a
-    letter that commutes with the last one calls `append_slot`.
+    element, and the fold keeps the prefix canonical throughout.  The fold
+    keeps the prefix's last letter at hand: an equal one is popped, and a
+    crossing one blocks at once, so the letter goes at the end.  A letter
+    that commutes with the last one and differs from it scans on from the
+    letter before, as `append_slot` would after reading the last one.
 
     Central letters are held back: a singleton chord, or ``top``, the union
     of every letter of the word, commutes with every letter, so it can move
     to the end and two copies of it cancel.  Only their parity is kept, and
     the odd ones are placed last in ascending order.  A central letter meets
-    no barrier and no equal letter, so `append_slot` would return the first
-    position holding a larger letter: a forward pointer finds it, and never
-    moves back, since each singleton's slot lies past the one before.
-    ``top`` contains every letter, so it is the largest and goes at the end.
+    no barrier and no equal letter, so its slot is the first position
+    holding a larger letter: a forward pointer finds it, and never moves
+    back, since each singleton's slot lies past the one before.  ``top``
+    contains every letter, so it is the largest and goes at the end.
 
     >>> lean_reduce((4, 3, 7, 5, 1, 4, 7, 1, 1))
     (1, 3, 5)
     >>> lean_reduce((3, 5, 5)), lean_reduce((12, 3))  # crosses, then pops; scans
     ((3,), (3, 12))
     """
-    top = 0
-    for a in word:
-        top |= a
+    top = reduce(or_, word, 0)
     odd: set[int] = set()
     out: list[int] = []
+    last = 0  # out[-1], or 0 when out is empty
     for a in word:
         if a & (a - 1) == 0 or a == top:
             if a in odd:
@@ -98,17 +104,32 @@ def lean_reduce(word: Sequence[int]) -> Word:
             else:
                 odd.add(a)
             continue
-        b = out[-1] if out else 0
-        if b == a:
+        if last == a:
             out.pop()
-        elif (c := b & a) and c != b and c != a:
+            last = out[-1] if out else 0
+        elif (c := last & a) and c != last and c != a:
             out.append(a)
+            last = a
         else:
-            slot = append_slot(out, a)
-            if slot < 0:
-                del out[~slot]
+            # the scan of `append_slot`, past the last letter already read
+            j = len(out) - 1
+            slot = j if last > a else j + 1
+            while j > 0:
+                j -= 1
+                b = out[j]
+                if b == a:
+                    del out[j]
+                    break
+                if (c := b & a) and c != b and c != a:
+                    j = 0  # a barrier: stop, and place the letter
+                elif b > a:
+                    slot = j
             else:
-                out.insert(slot, a)
+                if slot < len(out):
+                    out.insert(slot, a)
+                else:
+                    out.append(a)
+                    last = a
     j = 0
     for a in sorted(odd):
         if a == top:

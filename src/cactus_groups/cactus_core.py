@@ -119,7 +119,8 @@ def is_pure(w: CactusWord) -> bool:
 
 def inverse_word(w: CactusWord) -> CactusWord:
     """The reversed letter sequence; each generator is its own inverse."""
-    return CactusWord(w.n, w.letters[::-1])
+    # unchecked: the letters of w, which were checked at w.n
+    return CactusWord._unchecked(w.n, w.letters[::-1])
 
 
 def diagram_of(w: CactusWord) -> DiagramWord:

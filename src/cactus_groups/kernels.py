@@ -1,6 +1,7 @@
 """The kernels every layer calls: a re-export of `_kernels_py`.
 
-`append_slot` is the primitive and `lean_reduce` its fold; the package's
+`append_slot` is the scan the algebras call, and `lean_reduce` the fold
+that carries the same scan in its own loop; the package's
 ``KERNEL_BACKEND`` names the implementation, which is always pure Python.
 """
 

@@ -141,7 +141,8 @@ class _Word(_Frozen):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"arity mismatch: {self.n} != {other.n}")
-        return type(self)(self.n, self.letters + other.letters)
+        # unchecked: both factors were checked, and at the same arity
+        return self._unchecked(self.n, self.letters + other.letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -229,19 +229,43 @@ def plain_fold(word):
     return tuple(out)
 
 
-def scanned_letters(word):
-    """``lean_reduce(word)`` and each call it made to `append_slot`: the
-    canonical prefix the call received, as a tuple, and the letter."""
-    seen = []
-    append_slot = _kernels_py.append_slot
+class Letter(int):
+    """A letter of a word that logs each ``&`` it takes with another: the
+    position of the later one, which is being placed, and the value of the
+    earlier one, which it meets in the prefix."""
 
-    def recording(out, letter, cancel=True):
-        seen.append((tuple(out), letter))
-        return append_slot(out, letter, cancel)
+    def __new__(cls, value, position, log):
+        self = super().__new__(cls, value)
+        self.position, self.log = position, log
+        return self
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernels_py, "append_slot", recording)
-        return _kernels_py.lean_reduce(word), seen
+    def __and__(self, other):
+        if type(other) is Letter:
+            placed, met = sorted((self, other), key=lambda x: x.position, reverse=True)
+            self.log.append((placed.position, int(met)))
+        return int(self) & int(other)
+
+
+def meetings(word):
+    """``lean_reduce(word)``, and for each position of the word the prefix
+    letters that the letter there met, in order."""
+    log = []
+    result = _kernels_py.lean_reduce(tuple(Letter(a, i, log) for i, a in enumerate(word)))
+    met = [[] for _ in word]
+    for i, b in log:
+        met[i].append(b)
+    return result, met
+
+
+def union(word):
+    top = 0
+    for a in word:
+        top |= a
+    return top
+
+
+def is_central(a, top):
+    return a & (a - 1) == 0 or a == top
 
 
 @given(
@@ -256,11 +280,9 @@ def scanned_letters(word):
 @example((4, 4, 4))
 @example((31, 16, 1, 8, 2, 4))
 def test_lean_reduce_places_central_chords_without_a_scan(word):
-    top = 0
-    for a in word:
-        top |= a
-    result, seen = scanned_letters(word)
-    assert not [a for _, a in seen if a & (a - 1) == 0 or a == top]
+    top = union(word)
+    result, met = meetings(word)
+    assert not [(a, seen) for a, seen in zip(word, met) if is_central(a, top) and seen]
     assert result == reference_lex_least(plain_fold(word))
 
 
@@ -292,12 +314,66 @@ def peek_words(draw):
     return tuple(word)
 
 
+def scan_meets(prefix, a):
+    """The letters of the canonical ``prefix`` that a backward scan tests
+    against ``a`` with ``&``, last first.  It stops at a letter that crosses
+    ``a``, after that test, and at an equal one, told by ``==`` alone."""
+    meets = []
+    for b in reversed(prefix):
+        if b == a:
+            break
+        meets.append(b)
+        if _blocks(b, a):
+            break
+    return meets
+
+
 @given(peek_words())
 @example((7, 3, 10, 10, 5))
 @example((3, 5, 5, 6, 6, 3))
 def test_lean_reduce_scans_only_letters_that_commute_with_the_last(word):
-    result, seen = scanned_letters(word)
-    for out, a in seen:
-        # an equal last letter pops, and a crossing one blocks: no scan
-        assert not out or (out[-1] != a and not _blocks(out[-1], a)), (out, a)
+    top = union(word)
+    result, met = meetings(word)
+    prefix = []  # the canonical word of the non-central letters so far
+    for a, seen in zip(word, met):
+        if is_central(a, top):
+            continue
+        # a letter settled by the last one meets at most that one; a scan
+        # past the last letter meets each letter before it once
+        assert seen == scan_meets(prefix, a), (prefix, a, seen)
+        slot = reference_append_slot(prefix, a)
+        if slot < 0:
+            del prefix[~slot]
+        else:
+            prefix.insert(slot, a)
     assert result == reference_lex_least(plain_fold(word))
+
+
+@st.composite
+def two_block_words(draw):
+    """Words at n <= 8 over two small alphabets whose letters commute across
+    them: chords inside strands 1..k against chords on the strands past k,
+    or against chords around strands 1..k.  A letter's scan crosses every
+    run of the other alphabet before it."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    inner = (1 << k) - 1
+    chords = submasks((1 << n) - 1)
+    if draw(st.booleans()):
+        other = [b for b in chords if b & inner == 0]
+    else:
+        other = [b for b in chords if b & inner == inner and b != inner]
+    first, second = (
+        draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=4))
+        for alphabet in (submasks(inner), other)
+    )
+    return tuple(draw(st.lists(st.sampled_from(first) | st.sampled_from(second), max_size=60)))
+
+
+@given(two_block_words())
+@example((3, 12, 48, 3))  # cancels the third letter back
+@example((12, 48, 3))  # inserts at index 0
+@example((3, 12, 48, 192))  # appends after scanning the whole prefix
+@example((6, 6, 3))  # places into an empty prefix, first and after a pop
+def test_lean_reduce_scans_across_commuting_blocks(word):
+    assert _kernels_py.lean_reduce(word) == reference_lex_least(plain_fold(word))

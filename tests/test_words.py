@@ -436,19 +436,21 @@ def test_tables_parse_printed_words_as_the_validating_path_does(case):
 
 @given(printed_word(max_n=TABLE_ARITY + 2))
 def test_results_built_unchecked_pass_the_checked_constructor(case):
-    # normal forms and diagrams skip the constructor's check; arities past
-    # the tables parse on the validating path
+    # products, inverses, normal forms and diagrams skip the constructor's
+    # check; arities past the tables parse on the validating path
     parse, text, n, _ = case
     w = parse(text, n)
+    results = [w * w]
     if parse is parse_diagram_word:
-        results = [lex_normal_form(w)]
+        results.append(lex_normal_form(w))
     else:
-        results = [diagram_of(w), pure_diagram(w * inverse_word(w)), pure_diagram(w)]
+        inverse = inverse_word(w)
+        results += [inverse, diagram_of(w), pure_diagram(w * inverse), pure_diagram(w)]
         if results[-1] is None:  # w itself is not pure
             results.pop()
     for r in results:
         assert type(r.letters) is tuple
-        assert DiagramWord(r.n, r.letters) == r
+        assert type(r)(r.n, r.letters) == r
 
 
 @pytest.mark.parametrize(
