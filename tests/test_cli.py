@@ -18,6 +18,7 @@ from helpers import nested_commutator_text, peak_bytes
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 ALT = "t{1,2} t{1,3} t{1,2} t{1,3}"
+LEAN_SCAN = "t{1,2,3} t{1,2} t{2,4} t{2,4} t{1,3}"
 
 
 def run(capsys, *argv):
@@ -57,6 +58,30 @@ def run(capsys, *argv):
         (("render", "--n", "3", ""), 0, "| | |\n"),
         (("render", "--n", "7", "s3,7"), 0, "| | | | | | |\n| | X-X-X-X-X\n| | | | | | |\n"),
         (("gamma0", "--n", "64", "s1,2 s1,2"), 0, "true\n"),
+        # Lean reduction looks at the last chord first: in LEAN_SCAN,
+        # t{1,2} and t{1,3} commute with t{1,2,3} and are scanned for, the
+        # first t{2,4} crosses it and goes at the end, the second cancels it.
+        (("nf", "--n", "4", LEAN_SCAN), 0, "t{1,2} t{1,3} t{1,2,3}\n"),
+        (("deq", "--n", "4", LEAN_SCAN, "t{1,2} t{1,2,3} t{1,3}"), 0, "true\n"),
+        (("deq", "--n", "4", LEAN_SCAN, "t{1,3} t{1,2} t{1,2,3}"), 1, "false\n"),
+        # The last t{1,2} scans past three chords that commute with it, and
+        # cancels the first t{1,2} or goes in front.
+        (("nf", "--n", "5", "t{4,5} t{1,2} t{3,4} t{1,2,3,4} t{1,2}"), 0,
+         "t{4,5} t{3,4} t{1,2,3,4}\n"),
+        (("nf", "--n", "5", "t{4,5} t{3,4} t{1,2,3,4} t{1,2}"), 0,
+         "t{1,2} t{4,5} t{3,4} t{1,2,3,4}\n"),
+        # eq decides in three stages: length parity, permutation, reduction.
+        # These two differ only in their permutations.
+        (("eq", "--n", "3", "s1,2 s2,3", "s2,3 s1,2"), 1, "false\n"),
+        # The product of the t{1,2,3} and t{1,2,4} generators is pure with
+        # even length parity; the reduction answers, as neither chord cancels.
+        (("eq", "--n", "4", "s1,3 s1,2 s2,3 s1,2 s3,4 s1,3 s1,2 s2,3 s1,2 s3,4", ""), 1,
+         "false\n"),
+        # WORKED WORKED is even in both parities and reduces to six chords.
+        (("eq", "--n", "3", f"{WORKED} {WORKED}", ""), 1, "false\n"),
+        (("eq", "--n", "3", f"{WORKED} {WORKED}", f"{WORKED} {WORKED}"), 0, "true\n"),
+        # the nested rewrite s1,3 s1,2 = s2,3 s1,3
+        (("eq", "--n", "3", "s1,3 s1,2", "s2,3 s1,3"), 0, "true\n"),
     ],
 )
 def test_verb_outputs(capsys, argv, exit_code, expected_out):
@@ -257,9 +282,11 @@ def test_missing_n_is_usage_error(capsys):
         (("bogus",), 2, "", "cactus: error: argument verb: invalid choice: 'bogus' "),
         (("-h",), 0, lambda capsys: cli._build_parser()[0].format_help(), None),
         (("eq", "-h"), 0, lambda capsys: cli._build_parser()[1]["eq"].format_help(), None),
+        (("eq", "--n", "3", "s1,2"), 2, "",
+         "cactus eq: error: the following arguments are required: word2"),
     ],
     ids=["missing positional", "missing --n", "--n x", "--n=3", "--ri abbreviation",
-         "no arguments", "bogus", "-h", "eq -h"],
+         "no arguments", "bogus", "-h", "eq -h", "eq missing word2"],
 )
 def test_usage_outcomes(capsys, argv, exit_code, expected_out, last_err_line):
     if callable(expected_out):
@@ -269,6 +296,8 @@ def test_usage_outcomes(capsys, argv, exit_code, expected_out, last_err_line):
     if last_err_line is None:
         assert err == ""
     else:
+        prog = last_err_line.partition(": error")[0]
+        assert err.startswith(f"usage: {prog} ")
         assert err.splitlines()[-1].startswith(last_err_line)
 
 
@@ -398,14 +427,15 @@ def test_argparse_is_loaded_only_for_calls_the_reader_leaves(argv, stdin, out, e
     assert done.stderr.endswith(err_end) and bool(done.stderr) == bool(err_end)
 
 
-def run_fresh(script, argv, stdin=None):
+def run_fresh(script, argv, stdin=None, stdout=subprocess.PIPE):
     """``python -c script *argv`` in a fresh interpreter that imports the
-    package from this checkout, with ``stdin`` as its input if given."""
+    package from this checkout, with ``stdin`` as its input if given, and
+    its output sent to ``stdout`` (captured by default)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
-        env=env, input=stdin, capture_output=True, text=True, timeout=60,
+        env=env, input=stdin, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
     )
 
 
@@ -454,16 +484,23 @@ def test_render_rejects_too_many_strands(capsys):
     assert err.startswith("error:")
 
 
-def test_make_generator_output_is_pure_and_reusable(capsys):
-    code, out, _ = run(capsys, "make-generator", "--n", "4", "t{1,2,4}")
-    assert code == 0
-    word = parse_cactus_word(out.strip(), 4)
-    code, out, _ = run(capsys, "is-pure", "--n", "4", out.strip())
-    assert code == 0
-    code, out, _ = run(capsys, "project", "--n", "4", "s3,4 s1,3 s1,2 s2,3 s3,4 s1,2")
-    assert code == 0
-    assert out == "[0,1,0,0,0]\n"
-    assert word.n == 4
+# The printed generator is read back: it is pure and projects to the basis
+# vector of its chord (t{1,3,5} is coordinate 7 of 16 at n = 5).
+@pytest.mark.parametrize(
+    "n, chord, generator, projection",
+    [
+        (4, "t{1,2,4}", "s3,4 s1,3 s1,2 s2,3 s1,2 s3,4", "[0,1,0,0,0]"),
+        (5, "t{1,3,5}", "s2,3 s4,5 s3,4 s1,3 s1,2 s2,3 s1,2 s3,4 s4,5 s2,3",
+         "[0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0]"),
+    ],
+    ids=["t{1,2,4}", "t{1,3,5}"],
+)
+def test_make_generator_output_is_pure_and_reusable(capsys, n, chord, generator, projection):
+    code, out, _ = run(capsys, "make-generator", "--n", str(n), chord)
+    assert (code, out) == (0, generator + "\n")
+    word = out.strip()
+    assert run(capsys, "is-pure", "--n", str(n), word) == (0, "true\n", "")
+    assert run(capsys, "project", "--n", str(n), word) == (0, projection + "\n", "")
 
 
 # Past the word's largest q, perm writes the identity tail in chunks.
@@ -499,6 +536,36 @@ def test_perm_memory_follows_the_word(monkeypatch):
     assert outcome == [0]
     assert sink.size == len("[" + ",".join(map(str, range(1, 200001))) + "]\n")
     assert (sink.head, sink.tail) == ("[3,2,1,", ",200000]\n")
+
+
+# Each call reads only the strands its word touches, or writes its output in
+# chunks, so it answers at a huge arity within a 400 MB address space.  The
+# cap is set in the child itself, since forking a threaded process is unsafe.
+@pytest.mark.parametrize(
+    "argv, head, size",
+    [
+        (("eq", "--n", "100000000", "s1,2", "s1,2"), "true\n", 5),
+        (("is-pure", "--n", "100000000", "s1,2 s1,2"), "true\n", 5),
+        (("make-generator", "--n", "100000000", "t{1,2,3}"), "s1,3 s1,2 s2,3 s1,2\n", 20),
+        (("gamma0", "--n", "64", "s1,2 s1,2"), "true\n", 5),
+        (("perm", "--n", "10000000", "s1,2"), "[2,1,3,", 78_888_899),
+    ],
+    ids=["eq", "is-pure", "make-generator", "gamma0", "perm"],
+)
+def test_huge_arities_answer_under_a_400_mb_address_space_cap(tmp_path, argv, head, size):
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from cactus_groups import cli\n"
+        "cli.main()\n"
+    )
+    path = tmp_path / "out"
+    with open(path, "w") as stdout:
+        done = run_fresh(script, argv, stdout=stdout)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert path.stat().st_size == size
+    with open(path) as f:
+        assert f.read(len(head)) == head
 
 
 def test_make_generator_memory_follows_the_chord(capsys):

@@ -237,7 +237,8 @@ def test_construct_pure_generator_postconditions(n, chord):
 
 def test_construct_pure_generator_postconditions_up_to_10_strands():
     # every chord on more than two strands up to strand 10, once, at n = its
-    # top strand; this covers every chord the CI smoke step names
+    # top strand; this covers every chord the make-generator tests in
+    # test_cli.py name
     chords = big_chord_sets(10)
     assert len(chords) == 968
     assert {0b111, 0b1011, 0b10101} <= set(chords)  # t{1,2,3}, t{1,2,4}, t{1,3,5}
