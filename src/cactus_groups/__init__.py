@@ -9,52 +9,48 @@ degree-truncated algebras over GF(2) and over the integers.
 
 from __future__ import annotations
 
-from .algebra_f2 import F2Series, f2_image, nilpotent_separation
-from .algebra_z import ZSeries, tfn_separation, z_image
-from .cactus_core import (
-    diagram_of,
-    equal_in_Jn,
-    inverse_word,
-    is_pure,
-    pure_diagram,
-    word_permutation,
-)
-from .diagram_group import (
-    construct_pure_generator,
-    delta,
-    equal_diagrams,
-    gamma_circ_projection,
-    in_even_subgroup,
-    in_gamma_circ,
-    lex_normal_form,
-    projection_dimension,
-)
-from .render import render_ascii
-from .words import (
-    CactusGenerator,
-    CactusWord,
-    DiagramWord,
-    ParseError,
-    chord_mask,
-    chord_members,
-    format_cactus_word,
-    format_chord,
-    format_diagram_word,
-    parse_cactus_word,
-    parse_diagram_word,
-)
+import importlib
 
 __version__ = "0.1.0"
 KERNEL_BACKEND = "python"  # the implementation of `kernels`
 
+# Each layer's public names.  Importing the package loads no layer: a
+# module loads the first time one of its names, or the module itself, is
+# read from the package (PEP 562).
+_LAYERS = {
+    "algebra_f2": ("F2Series", "f2_image", "nilpotent_separation"),
+    "algebra_z": ("ZSeries", "tfn_separation", "z_image"),
+    "cactus_core": (
+        "diagram_of", "equal_in_Jn", "inverse_word", "is_pure", "pure_diagram",
+        "word_permutation",
+    ),
+    "certificates": (
+        "CertificateFormatError", "DegreeCapReached", "RING_F2", "RING_Z",
+        "SeparationCertificate", "verify_certificate",
+    ),
+    "diagram_group": (
+        "construct_pure_generator", "delta", "equal_diagrams", "gamma_circ_projection",
+        "in_even_subgroup", "in_gamma_circ", "lex_normal_form", "projection_dimension",
+    ),
+    "render": ("render_ascii",),
+    "words": (
+        "CactusGenerator", "CactusWord", "DiagramWord", "ParseError", "chord_mask",
+        "chord_members", "format_cactus_word", "format_chord", "format_diagram_word",
+        "parse_cactus_word", "parse_diagram_word",
+    ),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+_SUBMODULES = frozenset({*_LAYERS, "_kernels_py", "cli", "kernels"})
+
 
 def __getattr__(name: str):
-    # The names in __all__ that are not bound here are the certificate
-    # layer's, which loads (with `json`) when one of them is first read.
-    if name in __all__:
-        from . import certificates
-
-        return getattr(certificates, name)
+    # Nothing is bound here on first read, so every read of a public name
+    # sees what its home module binds now.  Importing a submodule binds it
+    # here, as any import does.
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -62,45 +58,4 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
 
-__all__ = [
-    "CactusGenerator",
-    "CactusWord",
-    "CertificateFormatError",
-    "DegreeCapReached",
-    "DiagramWord",
-    "F2Series",
-    "KERNEL_BACKEND",
-    "ParseError",
-    "RING_F2",
-    "RING_Z",
-    "SeparationCertificate",
-    "ZSeries",
-    "chord_mask",
-    "chord_members",
-    "construct_pure_generator",
-    "delta",
-    "diagram_of",
-    "equal_diagrams",
-    "equal_in_Jn",
-    "f2_image",
-    "format_cactus_word",
-    "format_chord",
-    "format_diagram_word",
-    "gamma_circ_projection",
-    "in_even_subgroup",
-    "in_gamma_circ",
-    "inverse_word",
-    "is_pure",
-    "lex_normal_form",
-    "nilpotent_separation",
-    "parse_cactus_word",
-    "parse_diagram_word",
-    "projection_dimension",
-    "pure_diagram",
-    "render_ascii",
-    "tfn_separation",
-    "verify_certificate",
-    "word_permutation",
-    "z_image",
-    "__version__",
-]
+__all__ = sorted([*_HOME, "KERNEL_BACKEND"]) + ["__version__"]

@@ -11,8 +11,10 @@ call (exact option names, each followed by its value) is read straight
 from that table without loading argparse; every other call, help and
 usage errors included, goes to argparse parsers built from the same
 table: a call that names a verb to that verb's parser, the rest to the
-top-level parser.  Likewise only ``separate`` and ``verify`` load the
-certificate layer (by absolute import, the cheapest to repeat) and `json`.
+top-level parser.  Likewise each command reads its layer through the
+package (``_lib.cactus_core.equal_in_Jn``), which loads a layer the first
+time it is read, so a call loads only the layers its verb uses: only
+``separate`` and ``verify`` load the certificate layer and `json`.
 """
 
 from __future__ import annotations
@@ -23,23 +25,8 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
-from .algebra_f2 import nilpotent_separation
-from .algebra_z import tfn_separation
-from .cactus_core import (
-    diagram_of,
-    equal_in_Jn,
-    is_pure,
-    word_permutation,
-)
-from .diagram_group import (
-    construct_pure_generator,
-    delta,
-    equal_diagrams,
-    gamma_circ_projection,
-    in_gamma_circ,
-    lex_normal_form,
-)
-from .render import render_ascii
+import cactus_groups as _lib
+
 from .words import (
     CactusWord,
     DiagramWord,
@@ -52,6 +39,14 @@ from .words import (
 
 if TYPE_CHECKING:
     import argparse
+
+
+def __getattr__(name: str) -> Any:
+    # The package's public names, such as ``cli.equal_in_Jn``, read through
+    # the package on every read, so each sees what its layer binds now.
+    if name in _lib.__all__:
+        return getattr(_lib, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt_vector(values: Sequence[int]) -> str:
@@ -74,7 +69,8 @@ def _cmd_perm(args: SimpleNamespace) -> int:
     m = max((g.q for g in w.letters), default=1)
     write = sys.stdout.write
     # unchecked: m >= 1 and every letter's q is at most m
-    write("[" + ",".join(map(str, word_permutation(CactusWord._unchecked(m, w.letters)))))
+    moved = _lib.cactus_core.word_permutation(CactusWord._unchecked(m, w.letters))
+    write("[" + ",".join(map(str, moved)))
     for start in range(m + 1, args.n + 1, _PERM_CHUNK):
         stop = min(start + _PERM_CHUNK, args.n + 1)
         write("," + ",".join(map(str, range(start, stop))))
@@ -83,47 +79,48 @@ def _cmd_perm(args: SimpleNamespace) -> int:
 
 
 def _cmd_is_pure(args: SimpleNamespace) -> int:
-    return _decision(is_pure(parse_cactus_word(args.word, args.n)))
+    return _decision(_lib.cactus_core.is_pure(parse_cactus_word(args.word, args.n)))
 
 
 def _cmd_eq(args: SimpleNamespace) -> int:
     g = parse_cactus_word(args.word1, args.n)
     h = parse_cactus_word(args.word2, args.n)
-    return _decision(equal_in_Jn(g, h))
+    return _decision(_lib.cactus_core.equal_in_Jn(g, h))
 
 
 def _cmd_diagram(args: SimpleNamespace) -> int:
     w = parse_cactus_word(args.word, args.n)
-    print(format_diagram_word(diagram_of(w)))
+    print(format_diagram_word(_lib.cactus_core.diagram_of(w)))
     return 0
 
 
 def _cmd_nf(args: SimpleNamespace) -> int:
     w = parse_diagram_word(args.word, args.n)
-    print(format_diagram_word(lex_normal_form(w)))
+    print(format_diagram_word(_lib.diagram_group.lex_normal_form(w)))
     return 0
 
 
 def _cmd_deq(args: SimpleNamespace) -> int:
     g = parse_diagram_word(args.word1, args.n)
     h = parse_diagram_word(args.word2, args.n)
-    return _decision(equal_diagrams(g, h))
+    return _decision(_lib.diagram_group.equal_diagrams(g, h))
 
 
 def _cmd_delta(args: SimpleNamespace) -> int:
     w = parse_diagram_word(args.word, args.n)
     # unchecked: the odd chords are letters of the parsed word
-    print(format_diagram_word(DiagramWord._unchecked(w.n, tuple(sorted(delta(w))))))
+    odd = tuple(sorted(_lib.diagram_group.delta(w)))
+    print(format_diagram_word(DiagramWord._unchecked(w.n, odd)))
     return 0
 
 
 def _cmd_gamma0(args: SimpleNamespace) -> int:
-    return _decision(in_gamma_circ(parse_cactus_word(args.word, args.n)))
+    return _decision(_lib.diagram_group.in_gamma_circ(parse_cactus_word(args.word, args.n)))
 
 
 def _cmd_project(args: SimpleNamespace) -> int:
     w = parse_cactus_word(args.word, args.n)
-    print(_fmt_vector(gamma_circ_projection(w)))
+    print(_fmt_vector(_lib.diagram_group.gamma_circ_projection(w)))
     return 0
 
 
@@ -141,17 +138,20 @@ def _parse_single_chord(text: str, n: int) -> int:
 
 def _cmd_make_generator(args: SimpleNamespace) -> int:
     mask = _parse_single_chord(args.chord, args.n)
-    w = construct_pure_generator(args.n, mask)
+    w = _lib.diagram_group.construct_pure_generator(args.n, mask)
     print(format_cactus_word(w))
     return 0
 
 
 def _cmd_separate(args: SimpleNamespace) -> int:
     import json
-    import cactus_groups.certificates as certificates
 
+    certificates = _lib.certificates
     w = parse_diagram_word(args.word, args.n)
-    separate = nilpotent_separation if args.ring == "f2" else tfn_separation
+    if args.ring == "f2":
+        separate = _lib.algebra_f2.nilpotent_separation
+    else:
+        separate = _lib.algebra_z.tfn_separation
     try:
         cert = separate(w, max_degree=args.max_degree)
     except certificates.DegreeCapReached:
@@ -167,8 +167,7 @@ def _cmd_separate(args: SimpleNamespace) -> int:
 
 
 def _cmd_verify(args: SimpleNamespace) -> int:
-    import cactus_groups.certificates as certificates
-
+    certificates = _lib.certificates
     text = sys.stdin.read() if args.certificate == "-" else args.certificate
     cert = certificates.SeparationCertificate.from_json(text)
     return _decision(certificates.verify_certificate(cert))
@@ -180,7 +179,7 @@ def _cmd_render(args: SimpleNamespace) -> int:
         w = parse_diagram_word(args.word, args.n)
     else:
         w = parse_cactus_word(args.word, args.n)
-    print(render_ascii(w))
+    print(_lib.render.render_ascii(w))
     return 0
 
 
@@ -192,10 +191,6 @@ class _Option(NamedTuple):
     choices: tuple[str, ...] | None = None
     required: bool = False
     help: str | None = None
-
-    @property
-    def dest(self) -> str:
-        return self.flag[2:].replace("-", "_")  # as argparse derives it
 
 
 _N = _Option("--n", int, required=True, help="number of strands")
@@ -244,6 +239,34 @@ _VERBS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple, tuple]] = 
 }
 
 
+class _Plain(NamedTuple):
+    """What `_read` needs of a verb, derived once from its ``_VERBS`` entry."""
+
+    func: Callable[[SimpleNamespace], int]
+    flags: dict[str, tuple[Callable[[str], Any] | None, tuple[str, ...] | None, str]]
+    required: frozenset[str]  # the dests of the required options
+    defaults: dict[str, None]  # every option's dest, in table order
+    names: tuple[str, ...]  # the positionals'
+
+
+def _plain(func: Callable[[SimpleNamespace], int], options: tuple, positionals: tuple) -> _Plain:
+    # each option's dest, as argparse derives it
+    dest = {option.flag: option.flag[2:].replace("-", "_") for option in options}
+    return _Plain(
+        func,
+        {option.flag: (option.type, option.choices, dest[option.flag]) for option in options},
+        frozenset(dest[option.flag] for option in options if option.required),
+        dict.fromkeys(dest.values()),
+        tuple(name for name, _ in positionals),
+    )
+
+
+_PLAIN = {
+    verb: _plain(func, options, positionals)
+    for verb, (_, func, options, positionals) in _VERBS.items()
+}
+
+
 def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     """The arguments of a plain call, read from the verb table: exactly what
     the verb's argparse parser would give.  None for every call that is not
@@ -251,11 +274,10 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
     starts with ``-`` or does not convert, a missing or extra argument, an
     unknown verb): argparse reads those.  A lone ``-`` is a positional, and
     a repeated option keeps its last value, as in argparse."""
-    entry = _VERBS.get(argv[0]) if argv else None
+    entry = _PLAIN.get(argv[0]) if argv else None
     if entry is None:
         return None
-    _, func, options, positionals = entry
-    flags = {option.flag: option for option in options}
+    func, flags, required, defaults, names = entry
     values: dict[str, Any] = {}
     words = []
     tokens = iter(argv[1:])
@@ -267,19 +289,18 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
         value = next(tokens, "-")  # a missing value reads as one that starts with -
         if option is None or value.startswith("-"):
             return None
+        convert, choices, dest = option
         try:
-            value = option.type(value) if option.type else value
+            value = convert(value) if convert else value
         except ValueError:
             return None
-        if option.choices is not None and value not in option.choices:
+        if choices is not None and value not in choices:
             return None
-        values[option.dest] = value
-    if len(words) != len(positionals) or any(
-        option.required and option.dest not in values for option in options
-    ):
+        values[dest] = value
+    if len(words) != len(names) or not required <= values.keys():
         return None
-    args = {option.dest: values.get(option.dest) for option in options}
-    args.update(zip((name for name, _ in positionals), words))
+    args = {**defaults, **values}
+    args.update(zip(names, words))
     return SimpleNamespace(**args, func=func)
 
 

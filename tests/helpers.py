@@ -1,8 +1,12 @@
 """Seeded word generators and reference kernels shared across test modules."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
+import cactus_groups
 from cactus_groups.words import CactusGenerator, CactusWord, DiagramWord, ParseError
 
 
@@ -236,3 +240,15 @@ def reference_parse_diagram_word(text, n):
             raise ParseError(f"strand exceeds arity {n}", token, pos)
         letters.append(sum(1 << (i - 1) for i in members))
     return DiagramWord(n, tuple(letters))
+
+
+def run_fresh(script, argv, stdin=None, stdout=subprocess.PIPE):
+    """``python -c script *argv`` in a fresh interpreter that imports the
+    package from this checkout, with ``stdin`` as its input if given, and
+    its output sent to ``stdout`` (captured by default)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cactus_groups.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, input=stdin, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+    )

@@ -14,7 +14,7 @@ from cactus_groups.cactus_core import word_permutation
 from cactus_groups.certificates import SeparationCertificate, verify_certificate
 from cactus_groups.diagram_group import lex_normal_form
 from cactus_groups.words import parse_cactus_word, parse_diagram_word
-from helpers import nested_commutator_text, peak_bytes
+from helpers import nested_commutator_text, peak_bytes, run_fresh
 
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 ALT = "t{1,2} t{1,3} t{1,2} t{1,3}"
@@ -427,55 +427,68 @@ def test_argparse_is_loaded_only_for_calls_the_reader_leaves(argv, stdin, out, e
     assert done.stderr.endswith(err_end) and bool(done.stderr) == bool(err_end)
 
 
-def run_fresh(script, argv, stdin=None, stdout=subprocess.PIPE):
-    """``python -c script *argv`` in a fresh interpreter that imports the
-    package from this checkout, with ``stdin`` as its input if given, and
-    its output sent to ``stdout`` (captured by default)."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        env=env, input=stdin, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
-    )
+HEAVY = ("dataclasses", "inspect", "json")
+
+# The package's modules each call loads, beyond `cli` and `words`, which
+# importing `cactus_groups.cli` loads; importing the package loads none.
+CORE = ("_kernels_py", "cactus_core", "kernels")
+GROUP = (*CORE, "diagram_group")
+CERTIFICATES = (*GROUP, "algebra_f2", "algebra_z", "certificates")
 
 
-HEAVY = ("dataclasses", "inspect", "json", "cactus_groups.certificates")
-
-
-# A plain verb loads none of the heavy modules; separate and verify load
+# Each stage of a fresh interpreter loads exactly the layers it uses, and
+# a plain verb loads none of the heavy modules; separate and verify load
 # the certificate layer.  Modules the bare interpreter already holds (a
 # .pth file may import any of them) are left out.
 @pytest.mark.parametrize(
-    "argv, output, heavy",
+    "argv, output, layers",
     [
-        (("nf", "--n", "3", "t{1,2} t{1,2}"), "", False),
-        (("eq", "--n", "3", "s1,2", "s1,2"), "true", False),
-        (("perm", "--n", "3", "s1,3"), "[3,2,1]", False),
-        (("render", "--n", "2", "t{1,2}"), None, False),
-        (("separate", "--n", "2", "--ring", "f2", "t{1,2}"), CERT, True),
-        (("verify", CERT), "true", True),
+        (("nf", "--n", "3", "t{1,2} t{1,2}"), "", GROUP),
+        (("eq", "--n", "3", "s1,2", "s1,2"), "true", CORE),
+        (("perm", "--n", "3", "s1,3"), "[3,2,1]", CORE),
+        (("render", "--n", "2", "t{1,2}"), None, ("render",)),
+        (("separate", "--n", "2", "--ring", "f2", "t{1,2}"), CERT, CERTIFICATES),
+        (("verify", CERT), "true", CERTIFICATES),
+        (("is-pure", "--n", "3", ""), "true", CORE),
+        (("diagram", "--n", "3", "s1,3 s1,2"), "t{1,2,3} t{2,3}", CORE),
+        (("deq", "--n", "3", "t{1,2} t{1,2}", ""), "true", GROUP),
+        (("delta", "--n", "3", "t{1,2} t{1,3}"), "t{1,2} t{1,3}", GROUP),
+        (("gamma0", "--n", "3", ""), "true", GROUP),
+        (("project", "--n", "3", ""), "[0]", GROUP),
+        (("make-generator", "--n", "3", "t{1,2,3}"), "s1,3 s1,2 s2,3 s1,2", GROUP),
     ],
-    ids=["nf", "eq", "perm", "render", "separate", "verify"],
+    ids=[
+        "nf", "eq", "perm", "render", "separate", "verify", "is-pure", "diagram", "deq",
+        "delta", "gamma0", "project", "make-generator",
+    ],
 )
-def test_only_separate_and_verify_load_the_certificate_layer(argv, output, heavy):
+def test_only_separate_and_verify_load_the_certificate_layer(argv, output, layers):
     script = (
         "import sys\n"
-        "bare = set(sys.modules)\n"
+        "seen = set(sys.modules)\n"
+        "def loaded():\n"
+        "    global seen\n"
+        "    new, seen = set(sys.modules) - seen, set(sys.modules)\n"
+        "    return ','.join(sorted(name.removeprefix('cactus_groups.') for name in new\n"
+        f"                          if name.startswith('cactus_groups.') or name in {HEAVY!r}))\n"
+        "import cactus_groups\n"
+        "stages = [loaded()]\n"
         "from cactus_groups import cli\n"
+        "stages.append(loaded())\n"
         "code = cli.run(sys.argv[1:])\n"
-        f"print(code, *sorted(set(sys.modules).difference(bare).intersection({HEAVY!r})))\n"
+        "print(code, *stages, loaded(), sep=';')\n"
     )
     done = run_fresh(script, argv)
     *lines, report = done.stdout.splitlines()
     assert done.stderr == ""
     if output is not None:
         assert lines == [output]
-    code, *loaded = report.split()
-    assert code == "0"
-    if heavy:
-        assert "cactus_groups.certificates" in loaded
+    code, package, cli_module, call = report.split(";")
+    assert (code, package, cli_module) == ("0", "", "cli,words")
+    if "certificates" in layers:
+        assert set(call.split(",")).difference(HEAVY) == set(layers)
     else:
-        assert loaded == []
+        assert call == ",".join(sorted(layers))
 
 
 def test_render_rejects_too_many_strands(capsys):
@@ -657,7 +670,7 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(word):
         raise RuntimeError("kernel fault")
 
-    monkeypatch.setattr(cli, "lex_normal_form", broken)
+    monkeypatch.setattr("cactus_groups.diagram_group.lex_normal_form", broken)
     code, out, err = run(capsys, "nf", "--n", "3", "t{1,2}")
     assert code == 3
     assert out == ""
@@ -677,7 +690,7 @@ def test_a_failing_error_report_still_exits_3(monkeypatch):
             handled.append(sys.exc_info()[1])
             raise MemoryError
 
-    monkeypatch.setattr(cli, "lex_normal_form", broken)
+    monkeypatch.setattr("cactus_groups.diagram_group.lex_normal_form", broken)
     monkeypatch.setattr(sys, "argv", ["cactus", "nf", "--n", "3", "t{1,2}"])
     monkeypatch.setattr(sys, "stderr", Exhausted())
     with pytest.raises(SystemExit) as exc:
