@@ -14,9 +14,10 @@ import importlib
 __version__ = "0.1.0"
 KERNEL_BACKEND = "python"  # the implementation of `kernels`
 
-# Each layer's public names.  Importing the package loads no layer: a
-# module loads the first time one of its names, or the module itself, is
-# read from the package (PEP 562).
+# Each layer's public names, the one list of them: no layer module has an
+# ``__all__``.  Importing the package loads no layer: a module loads the
+# first time one of its names, or the module itself, is read from the
+# package (PEP 562).
 _LAYERS = {
     "algebra_f2": ("F2Series", "f2_image", "nilpotent_separation"),
     "algebra_z": ("ZSeries", "tfn_separation", "z_image"),

@@ -33,13 +33,14 @@ class F2Series(_Frozen):
     """Truncated series: the set of monomials with coefficient 1.
 
     The empty monomial is the constant term.  All stored monomials have
-    length at most ``degree``.
+    length at most ``degree``.  The support is kept as a frozenset.
     """
 
     degree: int
     support: frozenset
 
     def __post_init__(self):
+        object.__setattr__(self, "support", frozenset(self.support))
         if self.degree < 1:
             raise ValueError("truncation degree must be at least 1")
         if max(map(len, self.support), default=0) > self.degree:
@@ -69,7 +70,7 @@ def f2_image(w: DiagramWord, degree: int) -> F2Series:
                 if slot >= 0:
                     grown.append(mono[:slot] + (letter,) + mono[slot:])
         support.symmetric_difference_update(grown)
-    return F2Series(degree, frozenset(support))
+    return F2Series(degree, support)
 
 
 def _graded_terms(letters: tuple):

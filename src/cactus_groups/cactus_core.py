@@ -55,15 +55,6 @@ from operator import itemgetter
 from . import kernels
 from .words import CactusWord, DiagramWord
 
-__all__ = [
-    "word_permutation",
-    "is_pure",
-    "inverse_word",
-    "diagram_of",
-    "pure_diagram",
-    "equal_in_Jn",
-]
-
 
 def _walk(letters, top: int | None = None) -> tuple[list[int], list[int]]:
     """The chord of each letter, and the bit ``1 << (label - 1)`` of the

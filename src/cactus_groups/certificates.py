@@ -93,6 +93,7 @@ class SeparationCertificate:
     witness: tuple  # ((monomial, coeff), ...), sorted; a monomial is canonical chord masks
 
     def __post_init__(self):
+        object.__setattr__(self, "witness", tuple(self.witness))
         if self.ring not in (RING_F2, RING_Z):
             raise ValueError(f"unknown ring {self.ring!r}")
         if type(self.degree) is not int:  # nor a bool, as `from_dict` reads it

@@ -149,9 +149,9 @@ def _cmd_separate(args: SimpleNamespace) -> int:
     certificates = _lib.certificates
     w = parse_diagram_word(args.word, args.n)
     if args.ring == "f2":
-        separate = _lib.algebra_f2.nilpotent_separation
+        separate, ring = _lib.algebra_f2.nilpotent_separation, certificates.RING_F2
     else:
-        separate = _lib.algebra_z.tfn_separation
+        separate, ring = _lib.algebra_z.tfn_separation, certificates.RING_Z
     try:
         cert = separate(w, max_degree=args.max_degree)
     except certificates.DegreeCapReached:
@@ -161,7 +161,6 @@ def _cmd_separate(args: SimpleNamespace) -> int:
             print(cert.to_json())
             return 0
         report = {"trivial": True}
-    ring = certificates.RING_F2 if args.ring == "f2" else certificates.RING_Z
     print(json.dumps({"element": format_diagram_word(w), "ring": ring, **report}, sort_keys=True))
     return 1
 
@@ -239,20 +238,14 @@ _VERBS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple, tuple]] = 
 }
 
 
-class _Plain(NamedTuple):
-    """What `_read` needs of a verb, derived once from its ``_VERBS`` entry."""
-
-    func: Callable[[SimpleNamespace], int]
-    flags: dict[str, tuple[Callable[[str], Any] | None, tuple[str, ...] | None, str]]
-    required: frozenset[str]  # the dests of the required options
-    defaults: dict[str, None]  # every option's dest, in table order
-    names: tuple[str, ...]  # the positionals'
-
-
-def _plain(func: Callable[[SimpleNamespace], int], options: tuple, positionals: tuple) -> _Plain:
+def _plain(func: Callable[[SimpleNamespace], int], options: tuple, positionals: tuple) -> tuple:
+    """What `_read` needs of a verb, derived once from its ``_VERBS`` entry:
+    the command, each flag's (type, choices, dest), the dests of the
+    required options, every option's dest (in table order) mapped to None,
+    and the positionals' names."""
     # each option's dest, as argparse derives it
     dest = {option.flag: option.flag[2:].replace("-", "_") for option in options}
-    return _Plain(
+    return (
         func,
         {option.flag: (option.type, option.choices, dest[option.flag]) for option in options},
         frozenset(dest[option.flag] for option in options if option.required),

@@ -25,18 +25,6 @@ from . import kernels
 from .cactus_core import pure_diagram
 from .words import CactusGenerator, CactusWord, DiagramWord, chord_mask, chord_members
 
-__all__ = [
-    "lex_normal_form",
-    "equal_diagrams",
-    "delta",
-    "in_even_subgroup",
-    "big_chord_sets",
-    "projection_dimension",
-    "gamma_circ_projection",
-    "in_gamma_circ",
-    "construct_pure_generator",
-]
-
 
 def lex_normal_form(w: DiagramWord) -> DiagramWord:
     """Canonical representative: the lean word of the element, least in its

@@ -39,7 +39,7 @@ arity: the strand walk and the chord masks take memory that grows with the
 largest strand number, which a short token could otherwise make huge.
 
 This module is the one home of the word types and their parsing and
-printing; the package root re-exports them.
+printing; the package root reads them from here on first use.
 """
 
 from __future__ import annotations
@@ -119,12 +119,14 @@ class _Frozen:
 
 
 class _Word(_Frozen):
-    """Arity n and letters; a subclass checks its letters in `_check_letters`."""
+    """Arity n and letters, kept as a tuple; a subclass checks its letters
+    in `_check_letters`."""
 
     n: int
     letters: tuple
 
     def __post_init__(self):
+        _setattr(self, "letters", tuple(self.letters))
         _check_arity(self.n)
         self._check_letters()
 
@@ -261,17 +263,10 @@ def _chord_table(n: int) -> dict[str, int]:
 
 
 @functools.cache
-def _generator_spellings(n: int) -> dict[CactusGenerator, str]:
-    """Inverse of `_generator_table(n)`: generator -> printed spelling."""
-    table = _generator_table(n)
-    return dict(zip(table.values(), table))
-
-
-@functools.cache
-def _chord_spellings(n: int) -> dict[int, str]:
-    """Inverse of `_chord_table(n)`: chord mask -> printed spelling."""
-    table = _chord_table(n)
-    return dict(zip(table.values(), table))
+def _spellings(table: Callable[[int], dict], n: int) -> dict:
+    """Inverse of ``table(n)``, either grammar's: letter -> printed spelling."""
+    spelled = table(n)
+    return dict(zip(spelled.values(), spelled))
 
 
 _CACTUS_TOKEN = re.compile(r"s(\d+),(\d+)\Z")
@@ -308,7 +303,7 @@ def parse_cactus_word(text: str, n: int) -> CactusWord:
 def format_cactus_word(w: CactusWord) -> str:
     """Inverse of `parse_cactus_word`; identity prints as the empty string."""
     if w.n <= _TABLE_ARITY:
-        return " ".join(map(_generator_spellings(w.n).__getitem__, w.letters))
+        return " ".join(map(_spellings(_generator_table, w.n).__getitem__, w.letters))
     # %d spells a strand as its number, as the tables do: True prints as 1
     return " ".join("s%d,%d" % g for g in w.letters)
 
@@ -349,5 +344,5 @@ def format_chord(mask: int) -> str:
 def format_diagram_word(w: DiagramWord) -> str:
     """Inverse of `parse_diagram_word`; identity prints as the empty string."""
     if w.n <= _TABLE_ARITY:
-        return " ".join(map(_chord_spellings(w.n).__getitem__, w.letters))
+        return " ".join(map(_spellings(_chord_table, w.n).__getitem__, w.letters))
     return " ".join(format_chord(mask) for mask in w.letters)

@@ -46,7 +46,10 @@ def f2_cert(text, n=3, **kwargs):
 
 def test_construction_validation():
     good = dict(element="t{1,2}", ring=RING_F2, degree=1, witness=(((3,), 1),))
-    SeparationCertificate(**good)
+    cert = SeparationCertificate(**good)
+    # a list witness is kept as a tuple, so the certificate still hashes
+    listed = SeparationCertificate(**{**good, "witness": list(good["witness"])})
+    assert listed.witness == good["witness"] and {cert: 1}[listed] == 1
     with pytest.raises(ValueError):
         SeparationCertificate(**{**good, "ring": "unknown"})
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactus_groups import cli
+from cactus_groups import algebra_f2, cactus_core, cli
 from cactus_groups.cactus_core import word_permutation
 from cactus_groups.certificates import SeparationCertificate, verify_certificate
 from cactus_groups.diagram_group import lex_normal_form
@@ -257,6 +257,13 @@ def test_unknown_verb_is_usage_error(capsys):
 def test_missing_n_is_usage_error(capsys):
     code, out, err = run(capsys, "perm", "s1,2")
     assert code == 2
+
+
+def test_cli_reads_the_package_names_through_the_package():
+    assert cli.equal_in_Jn is cactus_core.equal_in_Jn
+    assert cli.nilpotent_separation is algebra_f2.nilpotent_separation
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
 
 
 # A plain call is read from the verb table; every other call goes to the

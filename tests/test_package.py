@@ -79,6 +79,17 @@ def test_submodules_load_on_first_read(name):
     assert (done.stdout, done.stderr) == ("[] True\n", "")
 
 
+# `_LAYERS` is the one list of public names: each function or class it
+# names is defined in the layer it is listed under, not re-exported there.
+@pytest.mark.parametrize("layer, names", cactus_groups._LAYERS.items())
+def test_layer_table_names_each_function_and_class_at_home(layer, names):
+    module = importlib.import_module(f"cactus_groups.{layer}")
+    for name in names:
+        value = getattr(module, name)
+        if callable(value):
+            assert value.__module__ == module.__name__, name
+
+
 def test_star_import_binds_every_name_in_all():
     namespace = {}
     exec("from cactus_groups import *", namespace)

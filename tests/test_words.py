@@ -328,31 +328,54 @@ def test_words_are_immutable_and_hashable():
         w.letters = ()
 
 
+def test_words_keep_their_letters_as_a_tuple():
+    letters = (3, 5)
+    assert DiagramWord(3, letters).letters is letters
+    assert DiagramWord(3, iter([3, 5])) == DiagramWord(3, [3, 5]) == DiagramWord(3, letters)
+    assert (DiagramWord(3, [3, 5]) * DiagramWord(3, (3,))).letters == (3, 5, 3)
+
+
 # The word and series types keep the behaviour of a frozen dataclass,
-# without the dataclasses module: (type, fields, the dataclass repr).
+# without the dataclasses module: (type, fields, the dataclass repr).  A
+# list of letters or a set of monomials is kept as a tuple or a frozenset.
 VALUE_TYPES = [
-    (
+    pytest.param(
         CactusWord,
         {"n": 3, "letters": (CactusGenerator(1, 2),)},
         "CactusWord(n=3, letters=(CactusGenerator(p=1, q=2),))",
+        id="CactusWord",
     ),
-    (DiagramWord, {"n": 3, "letters": (3,)}, "DiagramWord(n=3, letters=(3,))"),
-    (
+    pytest.param(
+        DiagramWord, {"n": 3, "letters": (3,)}, "DiagramWord(n=3, letters=(3,))", id="DiagramWord"
+    ),
+    pytest.param(
+        DiagramWord,
+        {"n": 3, "letters": [3, 5]},
+        "DiagramWord(n=3, letters=(3, 5))",
+        id="DiagramWord-list",
+    ),
+    pytest.param(
         F2Series,
         {"degree": 2, "support": frozenset({(3, 5)})},
         "F2Series(degree=2, support=frozenset({(3, 5)}))",
+        id="F2Series",
     ),
-    (
+    pytest.param(
+        F2Series,
+        {"degree": 2, "support": {(3,)}},
+        "F2Series(degree=2, support=frozenset({(3,)}))",
+        id="F2Series-set",
+    ),
+    pytest.param(
         ZSeries,
         {"degree": 2, "coeffs": {(): 1, (3, 3): -1}},
         "ZSeries(degree=2, coeffs=mappingproxy({(): 1, (3, 3): -1}))",
+        id="ZSeries",
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    "cls, fields, text", VALUE_TYPES, ids=[cls.__name__ for cls, _, _ in VALUE_TYPES]
-)
+@pytest.mark.parametrize("cls, fields, text", VALUE_TYPES)
 def test_value_types_behave_as_frozen_dataclasses(cls, fields, text):
     value = cls(*fields.values())
     same = cls(**fields)
@@ -517,19 +540,15 @@ def test_arities_past_the_tables_parse_as_before(n):
 
 
 def test_tables_hold_exactly_the_printed_spellings_in_bounded_memory():
-    tables = (
-        words._chord_table,
-        words._generator_table,
-        words._chord_spellings,
-        words._generator_spellings,
-    )
-    for table in tables:
-        table.cache_clear()
+    tables = (words._chord_table, words._generator_table)
+    for cached in (*tables, words._spellings):
+        cached.cache_clear()
 
     def build():
         for n in range(1, TABLE_ARITY + 1):
             for table in tables:
                 table(n)
+                words._spellings(table, n)
 
     assert peak_bytes(build) < 1 << 19
     for n in range(1, TABLE_ARITY + 1):
@@ -561,11 +580,10 @@ def test_tables_print_every_letter_as_its_members_spell_it():
 
 @pytest.mark.parametrize("n", [TABLE_ARITY + 1, 64])
 def test_arities_past_the_tables_print_from_the_members(monkeypatch, n):
-    def no_table(n):
+    def no_table(table, n):
         raise AssertionError(f"table looked up for arity {n}")
 
-    monkeypatch.setattr(words, "_chord_spellings", no_table)
-    monkeypatch.setattr(words, "_generator_spellings", no_table)
+    monkeypatch.setattr(words, "_spellings", no_table)
     top = 1 << (n - 1)
     masks = (1, 1 << TABLE_ARITY, top | 5, (1 << n) - 1, 3)
     assert format_diagram_word(DiagramWord(n, masks)) == " ".join(map(spelled_chord, masks))
