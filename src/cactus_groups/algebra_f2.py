@@ -61,6 +61,8 @@ def f2_image(w: DiagramWord, degree: int) -> F2Series:
     >>> sorted(f2_image(DiagramWord(2, (0b11, 0b11)), 3).support)
     [()]
     """
+    if degree < 1:
+        raise ValueError("truncation degree must be at least 1")
     support = {()}
     for letter in w.letters:
         grown = []
@@ -70,7 +72,8 @@ def f2_image(w: DiagramWord, degree: int) -> F2Series:
                 if slot >= 0:
                     grown.append(mono[:slot] + (letter,) + mono[slot:])
         support.symmetric_difference_update(grown)
-    return F2Series(degree, support)
+    # unchecked: only monomials shorter than the degree grow
+    return F2Series._unchecked(degree, frozenset(support))
 
 
 def _graded_terms(letters: tuple):
@@ -82,7 +85,11 @@ def _graded_terms(letters: tuple):
     generator keeps what each letter added; the next pass replays those
     gains to rebuild comp_{k-1} of every prefix in turn and appends each
     letter to it.  A degree costs one append per monomial per prefix, so
-    the components up to d together cost about one `f2_image` at degree d.
+    the components up to d together make the appends of one `f2_image`
+    at degree d; but each of the d passes also steps through every letter
+    and its gains, where the image steps through the letters once.  On
+    (t{1,3} t{1,4})^8 both make 92 appends, and the search takes about
+    2.5 times as long as the image at degree 8.
     """
     gains = [()] * len(letters)  # what each letter adds to comp_{k-1}
     start = [()]  # comp_{k-1} of the empty prefix

@@ -29,16 +29,15 @@ list, and no monomial appears twice in a witness.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from . import kernels
 from .algebra_f2 import f2_image
 from .algebra_z import z_image
-from .diagram_group import in_even_subgroup
 from .words import (
     DiagramWord,
     MAX_STRAND,
-    chord_mask,
     chord_members,
     format_diagram_word,
     parse_diagram_word,
@@ -72,13 +71,13 @@ def _field(data, key: str, kind: type):
 def _chord(members) -> int:
     if (
         isinstance(members, list)
-        and all(type(i) is int for i in members)
-        and all(a < b for a, b in zip(members, members[1:]))
+        and {*map(type, members)} == {int}  # nonempty, and no bool or float
+        and all(map(operator.lt, members, members[1:]))
+        and 0 < members[0]
+        and members[-1] <= MAX_STRAND
     ):
-        try:
-            return chord_mask(members, MAX_STRAND)  # range, bound and nonempty
-        except ValueError:
-            pass
+        # distinct strands, so the sum of their bits is the mask
+        return sum(map((1).__lshift__, members)) >> 1
     raise CertificateFormatError(
         "a chord must be a nonempty, strictly ascending list of strands "
         f"numbered from 1 to {MAX_STRAND}, got {members!r}"
@@ -111,18 +110,24 @@ class SeparationCertificate:
                 raise ValueError(f"invalid witness coefficient {coeff!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "element": self.element,
-            "ring": self.ring,
-            "degree": self.degree,
-            "witness": [
-                {"monomial": [list(chord_members(m)) for m in mono], "coeff": coeff}
-                for mono, coeff in self.witness
-            ],
-        }
+        """The JSON layout as Python objects: `to_json`'s text, read back."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """The JSON layout with its keys sorted, spelled byte for byte as
+        ``json.dumps(..., sort_keys=True)`` spells it.  Each distinct chord
+        is spelled once, as a list of ints prints, which is its JSON; the
+        degree and coefficients are ints and the ring one of two plain
+        names, so only the element needs the encoder."""
+        masks = {m for mono, _ in self.witness for m in mono}
+        chords = {m: str(list(chord_members(m))) for m in masks}
+        witness = ", ".join(
+            '{"coeff": %d, "monomial": [%s]}' % (coeff, ", ".join(map(chords.__getitem__, mono)))
+            for mono, coeff in self.witness
+        )
+        return '{"degree": %d, "element": %s, "ring": "%s", "witness": [%s]}' % (
+            self.degree, json.dumps(self.element), self.ring, witness
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> SeparationCertificate:
@@ -130,10 +135,23 @@ class SeparationCertificate:
         element = _field(data, "element", str)
         ring = _field(data, "ring", str)
         degree = _field(data, "degree", int)
+        # Each distinct chord is checked once.  A chord is looked up by its
+        # strands only when they are all of type int: JSON true and 1.0
+        # equal 1, so they must reach `_chord`, which refuses them.
+        masks = {}
         witness = []
         for entry in _field(data, "witness", list):
-            mono = tuple(_chord(chord) for chord in _field(entry, "monomial", list))
-            witness.append((mono, _field(entry, "coeff", int)))
+            mono = []
+            for members in _field(entry, "monomial", list):
+                if type(members) is list and {*map(type, members)} == {int}:
+                    key = tuple(members)
+                    mask = masks.get(key)
+                    if mask is None:
+                        mask = masks[key] = _chord(members)
+                else:
+                    mask = _chord(members)
+                mono.append(mask)
+            witness.append((tuple(mono), _field(entry, "coeff", int)))
         try:
             return cls(element, ring, degree, tuple(sorted(witness)))
         except ValueError as exc:
@@ -193,10 +211,10 @@ def verify_certificate(cert: SeparationCertificate) -> bool:
         image = f2_image(lean, cert.degree).support
         claimed = {(), *(mono for mono, _ in cert.witness)}
     else:
-        # Lean reduction keeps every chord's parity.
-        if not in_even_subgroup(lean):
+        try:
+            image = z_image(lean, cert.degree).coeffs
+        except ValueError:  # odd chord parity, which lean reduction keeps
             return False
-        image = dict(z_image(lean, cert.degree).coeffs)
         claimed = {(): 1, **dict(cert.witness)}
     # Every witness monomial has length degree, so equality leaves the
     # components 1 ... degree - 1 empty.

@@ -99,6 +99,17 @@ class _Frozen:
             _setattr(self, field, value)
         self.__post_init__()
 
+    @classmethod
+    def _unchecked(cls, first, second):
+        """An instance of a two-field type built without `__post_init__`,
+        for a caller that already holds what it would check and convert to:
+        for a word, a checked arity and a tuple of letters valid at it."""
+        obj = object.__new__(cls)
+        one, two = cls._fields
+        _setattr(obj, one, first)
+        _setattr(obj, two, second)
+        return obj
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._astuple(self) == self._astuple(other)
@@ -130,14 +141,6 @@ class _Word(_Frozen):
         _check_arity(self.n)
         self._check_letters()
 
-    @classmethod
-    def _unchecked(cls, n: int, letters: tuple):
-        # no check: the arity was checked and every letter is valid at n
-        w = object.__new__(cls)
-        _setattr(w, "n", n)
-        _setattr(w, "letters", letters)
-        return w
-
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -168,6 +171,8 @@ class CactusWord(_Word):
         n, index = self.n, operator.index
         # every letter, not each distinct one: (1.0, 2) equals (1, 2)
         for g in self.letters:
+            if not isinstance(g, CactusGenerator):  # a plain (p, q) tuple too
+                raise TypeError(f"letter {g!r} is not a CactusGenerator")
             p, q = index(g.p), index(g.q)
             if not 1 <= p < q <= n:
                 raise ValueError(f"invalid generator s_{{{g.p},{g.q}}} for arity {n}")

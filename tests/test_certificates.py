@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cactus_groups import algebra_f2, algebra_z, certificates, kernels
 from cactus_groups.algebra_f2 import f2_image, nilpotent_separation
@@ -91,6 +93,50 @@ def test_json_round_trip_z():
     assert data["ring"] == RING_Z
     assert {"monomial": [[1, 3], [1, 2]], "coeff": -1} in data["witness"]
     assert SeparationCertificate.from_json(cert.to_json()) == cert
+
+
+def test_to_json_spells_the_layout_byte_for_byte():
+    # keys sorted, ", " and ": " as separators, the element JSON-escaped
+    assert f2_cert(ALT).to_json() == (
+        '{"degree": 2, "element": "t{1,2} t{1,3} t{1,2} t{1,3}", "ring": "f2-nilpotent", '
+        '"witness": [{"coeff": 1, "monomial": [[1, 2], [1, 3]]}, '
+        '{"coeff": 1, "monomial": [[1, 3], [1, 2]]}]}'
+    )
+    assert tfn_separation(dw(ALT)).to_json() == (
+        '{"degree": 2, "element": "t{1,2} t{1,3} t{1,2} t{1,3}", "ring": "z-torsion-free", '
+        '"witness": [{"coeff": 1, "monomial": [[1, 2], [1, 3]]}, '
+        '{"coeff": -1, "monomial": [[1, 3], [1, 2]]}]}'
+    )
+    odd = SeparationCertificate('t{1,2}\t"\u00e9\\', RING_F2, 1, (((3,), 1),))
+    assert odd.to_json() == (
+        '{"degree": 1, "element": "t{1,2}\\t\\"\\u00e9\\\\", "ring": "f2-nilpotent", '
+        '"witness": [{"coeff": 1, "monomial": [[1, 2]]}]}'
+    )
+
+
+@st.composite
+def lean_certificates(draw):
+    """The certificate of a nontrivial lean word at n <= 6, in either ring;
+    a Z word is a shuffled doubled list of chords, so its parity is even."""
+    n = draw(st.integers(3, 6))
+    chords = st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=5)
+    if draw(st.booleans()):
+        separate, letters = nilpotent_separation, draw(chords) + draw(chords)
+    else:
+        half = draw(chords)
+        separate, letters = tfn_separation, draw(st.permutations(half + half))
+    lean = kernels.lean_reduce(tuple(letters))
+    assume(lean)
+    return separate(DiagramWord(n, lean))
+
+
+@given(lean_certificates())
+def test_certificates_round_trip_through_their_json(cert):
+    text = cert.to_json()
+    assert SeparationCertificate.from_json(text) == cert
+    assert json.loads(text) == cert.to_dict()
+    assert text == json.dumps(cert.to_dict(), sort_keys=True)
+    assert verify_certificate(cert)
 
 
 def test_verify_accepts_real_certificates():
@@ -410,6 +456,12 @@ GOOD = {
         {**GOOD, "witness": [{"monomial": [[1, 1]], "coeff": 1}]},
         {**GOOD, "witness": [{"monomial": [[1, 2]], "coeff": 1}] * 2},
         {**GOOD, "witness": [{"monomial": [[1, 4097]], "coeff": 1}]},
+        # strands that are not ints, though true and 1.0 equal 1
+        {**GOOD, "witness": [{"monomial": [[True, 2]], "coeff": 1}]},
+        {**GOOD, "witness": [{"monomial": [[1, 2.0]], "coeff": 1}]},
+        {**GOOD, "witness": [{"monomial": [[-1, 2]], "coeff": 1}]},
+        # [True, 2] after the chord [1, 2] it equals
+        {**GOOD, "degree": 3, "witness": [{"monomial": [[1, 2], [1, 3], [True, 2]], "coeff": 1}]},
     ],
 )
 def test_from_dict_rejects_malformed_data(data):

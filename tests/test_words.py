@@ -255,6 +255,14 @@ def test_word_validation():
     assert DiagramWord(3, (7,)).letters == (7,)
 
 
+def test_cactus_letters_that_are_not_generators_are_refused_by_name():
+    # a plain tuple is not read as a generator, even with valid strands
+    for letter in ((1, 2), [1, 2], "s1,2", None):
+        with pytest.raises(TypeError) as exc:
+            CactusWord(3, (CactusGenerator(1, 2), letter))
+        assert str(exc.value) == f"letter {letter!r} is not a CactusGenerator"
+
+
 def test_word_validation_names_the_first_bad_letter():
     with pytest.raises(ValueError) as exc:
         CactusWord(3, (CactusGenerator(1, 2), CactusGenerator(2, 2), CactusGenerator(1, 5)))
