@@ -13,6 +13,11 @@ a chord to 1 + t for odd c and to the truncated geometric inverse
 contains the word's own monomial with coefficient (-1)^(d/2), which makes
 the minimal nontrivial truncation degree a certificate of nontriviality
 in a torsion-free nilpotent quotient.
+
+Which occurrence of its chord each letter is, odd or even, is the one
+group fact this ring reads, and `_occurrence_signs` is its one pass: it
+also tells a word outside the even subgroup, so the ring needs no group
+layer, only `words` and `kernels`.
 """
 
 from __future__ import annotations
@@ -21,11 +26,31 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from . import kernels
-from .diagram_group import in_even_subgroup
 from .words import DiagramWord, _Frozen
 
 if TYPE_CHECKING:
     from .certificates import SeparationCertificate
+
+
+_OUTSIDE = "word is outside the even diagram subgroup (odd chord parity)"
+
+
+def _occurrence_signs(letters: tuple) -> list | None:
+    """For each letter, the sign of its factor's linear term: 1 for an odd
+    occurrence of its chord (the first, third, ...), whose factor is 1 + t,
+    and -1 for an even one, whose factor is 1 - t + t^2 - ...  None when
+    some chord occurs an odd number of times in all: the word is outside
+    the even diagram subgroup."""
+    odd = set()  # chords met an odd number of times so far
+    signs = []
+    for letter in letters:
+        if letter in odd:
+            odd.remove(letter)
+            signs.append(-1)
+        else:
+            odd.add(letter)
+            signs.append(1)
+    return None if odd else signs
 
 
 class ZSeries(_Frozen):
@@ -48,8 +73,8 @@ class ZSeries(_Frozen):
 
 
 def z_image(w: DiagramWord, degree: int) -> ZSeries:
-    """Image of an even-subgroup word: scan left to right counting each
-    chord's occurrences and multiply the per-occurrence factors in order.
+    """Image of an even-subgroup word: the per-occurrence factors, odd or
+    even as `_occurrence_signs` reads them, multiplied in order.
     Outside the even subgroup the assignment is not relation invariant, so
     such input is rejected.
 
@@ -66,18 +91,15 @@ def z_image(w: DiagramWord, degree: int) -> ZSeries:
     once.  No series is copied, and terms of full length are never visited
     again.
     """
-    if not in_even_subgroup(w):
-        raise ValueError("word is outside the even diagram subgroup (odd chord parity)")
-    seen_odd: set = set()  # chords met an odd number of times so far
+    signs = _occurrence_signs(w.letters)
+    if signs is None:
+        raise ValueError(_OUTSIDE)
     by_length: list = [{} for _ in range(degree + 1)]  # length -> {monomial: coeff}
     by_length[0][()] = 1
-    for letter in w.letters:
-        odd = letter not in seen_odd
-        seen_odd.symmetric_difference_update((letter,))
-        sign = 1 if odd else -1
+    for letter, sign in zip(w.letters, signs):
         for length in range(degree - 1, -1, -1):
             # an odd occurrence grows by a alone, an even one by every power
-            targets = by_length[length + 1 : length + 2 if odd else None]
+            targets = by_length[length + 1 : length + 2 if sign > 0 else None]
             for mono, coeff in by_length[length].items():
                 slot = kernels.append_slot(mono, letter, cancel=False)
                 head, tail = mono[:slot], mono[slot:]
@@ -117,27 +139,24 @@ def _graded_terms(letters: tuple):
     after the letter instead of before it.  Either way degree k needs only
     degree k - 1.  As in the mod-2 algebra, each pass replays what every
     letter added to the degree below to rebuild it prefix by prefix.
+    The letters must lie in the even subgroup, which `tfn_separation`
+    checks before it reduces them.
     """
-    is_odd = []
-    seen_odd: set = set()
-    for letter in letters:
-        is_odd.append(letter not in seen_odd)
-        seen_odd.symmetric_difference_update((letter,))
+    signs = _occurrence_signs(letters)
     gains = [()] * len(letters)  # what each letter adds to comp_{k-1}
     start = {(): 1}  # comp_{k-1} of the empty prefix
     while True:
         prefix = dict(start)
         step = []
-        for letter, odd, gained in zip(letters, is_odd, gains):
-            if not odd:
+        for letter, sign, gained in zip(letters, signs, gains):
+            if sign < 0:  # an even occurrence reads the degree below after it
                 _accumulate(prefix, gained)
-            sign = 1 if odd else -1
             grown = []
             for mono, coeff in prefix.items():
                 slot = kernels.append_slot(mono, letter, cancel=False)
                 grown.append((mono[:slot] + (letter,) + mono[slot:], sign * coeff))
             step.append(grown)
-            if odd:
+            if sign > 0:
                 _accumulate(prefix, gained)
         gains, start = step, {}
         component: dict = {}
@@ -160,7 +179,7 @@ def tfn_separation(
     ``max_degree`` caps the search (raising `DegreeCapReached` if it
     bites).
     """
-    if not in_even_subgroup(w):
-        raise ValueError("word is outside the even diagram subgroup (odd chord parity)")
+    if _occurrence_signs(w.letters) is None:
+        raise ValueError(_OUTSIDE)
     import cactus_groups.certificates as certificates  # on first use; it imports this module
     return certificates._separate(w, max_degree, _graded_terms, certificates.RING_Z)

@@ -23,13 +23,16 @@ JSON layout::
      "witness": [{"monomial": [[1,2],[1,3]], "coeff": 1}, ...]}
 
 where a monomial is a list of chords, each a strictly ascending strand
-list, and no monomial appears twice in a witness.
+list, and no monomial appears twice in a witness.  The reader refuses a
+strand that is not a JSON integer (``true`` and ``1.0`` among them) and
+leaves the strand list itself to `words`, whose one check also serves the
+token grammar.  Neither algebra reads a group layer, so this module loads
+only `words`, `kernels` and the two algebras.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 
 from . import kernels
@@ -38,6 +41,7 @@ from .algebra_z import z_image
 from .words import (
     DiagramWord,
     MAX_STRAND,
+    _strands_mask,
     chord_members,
     format_diagram_word,
     parse_diagram_word,
@@ -68,16 +72,18 @@ def _field(data, key: str, kind: type):
     return value
 
 
-def _chord(members) -> int:
-    if (
-        isinstance(members, list)
-        and {*map(type, members)} == {int}  # nonempty, and no bool or float
-        and all(map(operator.lt, members, members[1:]))
-        and 0 < members[0]
-        and members[-1] <= MAX_STRAND
-    ):
-        # distinct strands, so the sum of their bits is the mask
-        return sum(map((1).__lshift__, members)) >> 1
+def _chord(members, known: dict) -> int:
+    """The mask of a witness chord.  ``known`` maps the strands of each
+    chord already read to its mask, so each distinct chord is checked once.
+    """
+    # Only int strands pass the guard, so only they are looked up: JSON
+    # true and 1.0 equal 1.  `words` checks the strand list itself.
+    if isinstance(members, list) and {*map(type, members)} <= {int}:
+        key = tuple(members)
+        try:  # masks are positive, so a miss reads as false
+            return known.get(key) or known.setdefault(key, _strands_mask(members, MAX_STRAND))
+        except ValueError:
+            pass
     raise CertificateFormatError(
         "a chord must be a nonempty, strictly ascending list of strands "
         f"numbered from 1 to {MAX_STRAND}, got {members!r}"
@@ -93,6 +99,8 @@ class SeparationCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "witness", tuple(self.witness))
+        if not isinstance(self.element, str):
+            raise ValueError(f"element must be a str, got {self.element!r}")
         if self.ring not in (RING_F2, RING_Z):
             raise ValueError(f"unknown ring {self.ring!r}")
         if type(self.degree) is not int:  # nor a bool, as `from_dict` reads it
@@ -108,6 +116,9 @@ class SeparationCertificate:
                 raise ValueError("witness monomial length differs from degree")
             if type(coeff) is not int or coeff == 0 or (self.ring == RING_F2 and coeff != 1):
                 raise ValueError(f"invalid witness coefficient {coeff!r}")
+            # positive ints of at most MAX_STRAND bits, the type first: True and 3.0 equal ints
+            if {*map(type, mono)} != {int} or min(mono) < 1 or max(mono) >> MAX_STRAND:
+                raise ValueError(f"invalid witness chord in {mono!r}")
 
     def to_dict(self) -> dict:
         """The JSON layout as Python objects: `to_json`'s text, read back."""
@@ -135,23 +146,11 @@ class SeparationCertificate:
         element = _field(data, "element", str)
         ring = _field(data, "ring", str)
         degree = _field(data, "degree", int)
-        # Each distinct chord is checked once.  A chord is looked up by its
-        # strands only when they are all of type int: JSON true and 1.0
-        # equal 1, so they must reach `_chord`, which refuses them.
-        masks = {}
+        known = {}
         witness = []
         for entry in _field(data, "witness", list):
-            mono = []
-            for members in _field(entry, "monomial", list):
-                if type(members) is list and {*map(type, members)} == {int}:
-                    key = tuple(members)
-                    mask = masks.get(key)
-                    if mask is None:
-                        mask = masks[key] = _chord(members)
-                else:
-                    mask = _chord(members)
-                mono.append(mask)
-            witness.append((tuple(mono), _field(entry, "coeff", int)))
+            mono = tuple(_chord(members, known) for members in _field(entry, "monomial", list))
+            witness.append((mono, _field(entry, "coeff", int)))
         try:
             return cls(element, ring, degree, tuple(sorted(witness)))
         except ValueError as exc:

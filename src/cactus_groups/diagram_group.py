@@ -42,16 +42,19 @@ def lex_normal_form(w: DiagramWord) -> DiagramWord:
 
 
 def equal_diagrams(w1: DiagramWord, w2: DiagramWord) -> bool:
-    """Decide equality in the diagram group via normal forms.
+    """Decide equality in the diagram group: w1 = w2 iff w1 w2^-1 reduces
+    to the empty word.  Every chord is an involution, so w2^-1 is w2
+    reversed, and the test is `equal_in_Jn`'s last stage, one
+    `kernels.lean_reduce` of the joined letters, with no normal form built.
 
     Like `equal_in_Jn`, it counts no chord parities first: an odd chord
-    never reduces away, so the normal forms tell such a pair apart.
-    `equal_in_Jn` counts only the lengths of its cactus letters, which
-    spares it the strand walk; a diagram word has no walk to spare.
+    never reduces away.  `equal_in_Jn` counts only the lengths of its
+    cactus letters, which spares it the strand walk; a diagram word has
+    no walk to spare.
     """
     if w1.n != w2.n:
         raise ValueError(f"arity mismatch: {w1.n} != {w2.n}")
-    return lex_normal_form(w1) == lex_normal_form(w2)
+    return kernels.lean_reduce(w1.letters + w2.letters[::-1]) == ()
 
 
 def delta(w: DiagramWord) -> frozenset:

@@ -313,11 +313,13 @@ def format_cactus_word(w: CactusWord) -> str:
     return " ".join("s%d,%d" % g for g in w.letters)
 
 
-def _chord(token: str, n: int) -> int:
-    m = _DIAGRAM_TOKEN.match(token)
-    if m is None:
-        raise ValueError("expected t{a,b,...}")
-    members = list(map(int, m.group(1).split(",")))
+def _strands_mask(members: list, n: int) -> int:
+    """Mask of a chord spelled as a list of int strands, which must be
+    nonempty, strictly ascending, from 1, and at most n and `MAX_STRAND`;
+    `ValueError` otherwise.  The one check of a strand list: the token
+    grammar and the certificate reader both call it."""
+    if not members:
+        raise ValueError("chord must be nonempty")
     if not all(map(operator.lt, members, members[1:])):
         raise ValueError("members must be strictly ascending")
     if members[0] < 1:
@@ -328,6 +330,13 @@ def _chord(token: str, n: int) -> int:
         raise ValueError(f"strand exceeds the bound {MAX_STRAND}")
     # distinct members, so the sum of their bits is the mask
     return sum(map((1).__lshift__, members)) >> 1
+
+
+def _chord(token: str, n: int) -> int:
+    m = _DIAGRAM_TOKEN.match(token)
+    if m is None:
+        raise ValueError("expected t{a,b,...}")
+    return _strands_mask(list(map(int, m.group(1).split(","))), n)
 
 
 def parse_diagram_word(text: str, n: int) -> DiagramWord:

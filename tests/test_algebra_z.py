@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cactus_groups.algebra_f2 import f2_image
 from cactus_groups.algebra_z import ZSeries, tfn_separation, z_image
 from cactus_groups.certificates import RING_Z
+from cactus_groups.diagram_group import delta
 from cactus_groups.words import DiagramWord, parse_diagram_word
 from helpers import (
     random_even_lean_word,
@@ -211,3 +214,24 @@ def test_witness_scaling(rng):
             repeated = DiagramWord(n, u.letters * m)
             got = z_homogeneous_component(z_image(repeated, cert.degree), cert.degree)
             assert got == {mono: m * c for mono, c in want.items()}
+
+
+@st.composite
+def pooled_diagram_words(draw):
+    """Words at n <= 6 over a few chords, so each chord's count is even
+    about as often as odd."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=3))
+    return DiagramWord(n, tuple(draw(st.lists(st.sampled_from(pool), max_size=10))))
+
+
+@given(pooled_diagram_words(), st.integers(1, 4))
+def test_z_image_and_tfn_separation_refuse_exactly_the_odd_words(w, degree):
+    if delta(w):
+        for call in (lambda: z_image(w, degree), lambda: tfn_separation(w)):
+            with pytest.raises(ValueError, match="outside the even diagram subgroup"):
+                call()
+    else:
+        assert z_image(w, degree).degree == degree
+        cert = tfn_separation(w)
+        assert cert is None or cert.ring == RING_Z

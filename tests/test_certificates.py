@@ -15,7 +15,7 @@ from cactus_groups.certificates import (
     SeparationCertificate,
     verify_certificate,
 )
-from cactus_groups.words import DiagramWord, format_diagram_word, parse_diagram_word
+from cactus_groups.words import MAX_STRAND, DiagramWord, format_diagram_word, parse_diagram_word
 from helpers import (
     nested_commutator_text,
     peak_bytes,
@@ -23,6 +23,7 @@ from helpers import (
     random_even_lean_word,
     random_even_word,
     random_lean_word,
+    run_fresh,
 )
 from ring_reference import (
     f2_homogeneous_component,
@@ -66,16 +67,28 @@ def test_construction_validation():
         SeparationCertificate(**{**good, "witness": (((3,), 2),)})  # mod-2 coeff
     zgood = dict(element=ALT, ring=RING_Z, degree=2, witness=(((3, 5), 2),))
     SeparationCertificate(**zgood)
-    # degree and coefficients are ints and not bools, as from_dict reads them
+    # degree and coefficients are ints and not bools, as from_dict reads them;
+    # the element is a str, and each chord a positive int of at most
+    # MAX_STRAND bits
     for bad in (
         {**good, "degree": True},
         {**good, "witness": (((3,), True),)},
         {**good, "witness": (((3,), 1.0),)},
         {**zgood, "degree": 2.0},
         {**zgood, "witness": (((3, 5), 2.0),)},
+        {**good, "element": 123},
+        {**good, "element": None},
+        {**good, "witness": (((3.0,), 1),)},
+        {**good, "witness": (((True,), 1),)},
+        {**good, "witness": ((("3",), 1),)},
+        {**good, "witness": (((0,), 1),)},
+        {**good, "witness": (((-3,), 1),)},
+        {**good, "witness": (((1 << MAX_STRAND,), 1),)},
+        {**zgood, "witness": (((3, 5.0), 2),)},
     ):
         with pytest.raises(ValueError):
             SeparationCertificate(**bad)
+    SeparationCertificate(**{**good, "witness": (((1 << (MAX_STRAND - 1),), 1),)})
 
 
 def test_json_round_trip_f2():
@@ -416,6 +429,17 @@ def test_verify_rejects_a_degree_above_the_lean_length_without_an_image(
     # the same counters do see the image of an honest certificate
     assert verify_certificate(nilpotent_separation(dw(word, 6)))
     assert len(calls) == 1
+
+
+def test_the_certificate_layer_loads_no_group_layer():
+    script = (
+        "import sys\n"
+        "import cactus_groups.certificates\n"
+        "print(sorted(m for m in ('cactus_groups.cactus_core', 'cactus_groups.diagram_group')\n"
+        "             if m in sys.modules))\n"
+    )
+    done = run_fresh(script, ())
+    assert (done.stdout, done.stderr) == ("[]\n", "")
 
 
 GOOD = {

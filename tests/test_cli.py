@@ -440,7 +440,8 @@ HEAVY = ("dataclasses", "inspect", "json")
 # importing `cactus_groups.cli` loads; importing the package loads none.
 CORE = ("_kernels_py", "cactus_core", "kernels")
 GROUP = (*CORE, "diagram_group")
-CERTIFICATES = (*GROUP, "algebra_f2", "algebra_z", "certificates")
+# The algebras and certificates stand on `words` and `kernels` alone.
+CERTIFICATES = ("_kernels_py", "kernels", "algebra_f2", "algebra_z", "certificates")
 
 
 # Each stage of a fresh interpreter loads exactly the layers it uses, and

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cactus_groups import cactus_core
@@ -118,6 +118,48 @@ def test_normal_form_is_relation_invariant(letters):
     base = lex_normal_form(DiagramWord(3, letters))
     for moved in relation_neighbors(letters, 3):
         assert lex_normal_form(DiagramWord(3, moved)) == base
+
+
+@st.composite
+def diagram_word_pairs(draw):
+    """(a, b, equal) at n = 2-8: b is a scrambled by relation moves, and for
+    an unequal pair it also gains one chord (odd total length) or two
+    different adjacent chords, which never cancel (even total length)."""
+    n = draw(st.integers(2, 8))
+    chords = st.integers(1, (1 << n) - 1)
+    # two chords or more, so that some words are not involutions
+    pool = draw(st.lists(chords, min_size=2, max_size=4, unique=True))
+    a = draw(st.lists(st.sampled_from(pool), max_size=16))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 12))):
+        move = draw(st.sampled_from(("swap", "cancel", "insert")))
+        if move == "insert":
+            x = draw(st.sampled_from(pool))
+            i = draw(st.integers(0, len(b)))
+            b[i:i] = [x, x]
+            continue
+        spots = [
+            i for i, (x, y) in enumerate(zip(b, b[1:]))
+            if (x == y if move == "cancel" else (x & y) in (0, x, y))
+        ]
+        if spots:
+            i = draw(st.sampled_from(spots))
+            b[i : i + 2] = [] if move == "cancel" else b[i : i + 2][::-1]
+    extra = draw(st.integers(0, 2))  # chords that make the pair unequal
+    if extra:
+        x = draw(chords)
+        y = draw(chords.filter(lambda c: c != x))
+        i = draw(st.integers(0, len(b)))
+        b[i:i] = [x, y][:extra]
+    return DiagramWord(n, tuple(a)), DiagramWord(n, tuple(b)), extra == 0
+
+
+@given(diagram_word_pairs())
+@example((dw("t{1,2} t{2,3}"), dw("t{1,2} t{2,3}"), True))  # not an involution
+def test_equal_diagrams_agrees_with_the_normal_forms(pair):
+    a, b, equal = pair
+    assert equal_diagrams(a, b) == (lex_normal_form(a) == lex_normal_form(b)) == equal
+    assert equal_diagrams(b, a) == equal
 
 
 @given(words3)
