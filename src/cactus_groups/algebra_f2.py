@@ -76,56 +76,20 @@ def f2_image(w: DiagramWord, degree: int) -> F2Series:
     return F2Series._unchecked(degree, frozenset(support))
 
 
-def _graded_terms(letters: tuple):
-    """Yield the homogeneous components 1, 2, ... of the image of a word,
-    each as sorted (monomial, 1) pairs.
-
-    Appending a letter a maps the degree-k component of a prefix w to
-    comp_k(w a) = comp_k(w) + comp_{k-1}(w) t_a.  For the last degree the
-    generator keeps what each letter added; the next pass replays those
-    gains to rebuild comp_{k-1} of every prefix in turn and appends each
-    letter to it.  A degree costs one append per monomial per prefix, so
-    the components up to d together make the appends of one `f2_image`
-    at degree d; but each of the d passes also steps through every letter
-    and its gains, where the image steps through the letters once.  On
-    (t{1,3} t{1,4})^8 both make 92 appends, and the search takes about
-    2.5 times as long as the image at degree 8.
-    """
-    gains = [()] * len(letters)  # what each letter adds to comp_{k-1}
-    start = [()]  # comp_{k-1} of the empty prefix
-    while True:
-        prefix = set(start)
-        step = []
-        for letter, gained in zip(letters, gains):
-            grown = []
-            for mono in prefix:
-                slot = kernels.append_slot(mono, letter)
-                if slot >= 0:
-                    grown.append(mono[:slot] + (letter,) + mono[slot:])
-            step.append(grown)
-            prefix.symmetric_difference_update(gained)
-        gains, start = step, ()
-        component = set()
-        for grown in gains:
-            component.symmetric_difference_update(grown)
-        yield tuple(sorted((mono, 1) for mono in component))
-
-
 def nilpotent_separation(
     w: DiagramWord, max_degree: int | None = None
 ) -> SeparationCertificate | None:
     """Certificate of nontriviality in a nilpotent quotient, or None for
     the trivial element.
 
-    Computes the homogeneous components of the lean reduction's image one
-    degree at a time, each one pass over the prefixes of the word, and
-    stops at the first nonzero one; the lean length always suffices, since
-    the image's top term is the lean monomial itself.  ``max_degree`` caps
-    the search (raising `DegreeCapReached` if it bites).
+    The search of `certificates._separate`, over GF(2): the lean length
+    always suffices, since the image's top term is the lean monomial
+    itself.  ``max_degree`` caps the search (raising `DegreeCapReached` if
+    it bites).
 
     >>> cert = nilpotent_separation(DiagramWord(2, (0b11,)))
     >>> cert.degree, cert.witness
     (1, (((3,), 1),))
     """
     import cactus_groups.certificates as certificates  # on first use; it imports this module
-    return certificates._separate(w, max_degree, _graded_terms, certificates.RING_F2)
+    return certificates._separate(w, max_degree, certificates.RING_F2)

@@ -119,52 +119,6 @@ def z_image(w: DiagramWord, degree: int) -> ZSeries:
     return ZSeries(degree, coeffs)
 
 
-def _accumulate(acc: dict, terms) -> None:
-    for mono, coeff in terms:
-        total = acc.get(mono, 0) + coeff
-        if total:
-            acc[mono] = total
-        else:
-            del acc[mono]
-
-
-def _graded_terms(letters: tuple):
-    """Yield the homogeneous components 1, 2, ... of the image of an
-    even-subgroup word, each as sorted (monomial, coefficient) pairs.
-
-    An odd occurrence of a multiplies a prefix w by 1 + a, so
-    comp_k(w (1 + a)) = comp_k(w) + comp_{k-1}(w) a.  An even one
-    multiplies by f = 1 - a + a^2 - ..., which satisfies f = 1 - f a, so
-    comp_k(w f) = comp_k(w) - comp_{k-1}(w f) a: the degree below, taken
-    after the letter instead of before it.  Either way degree k needs only
-    degree k - 1.  As in the mod-2 algebra, each pass replays what every
-    letter added to the degree below to rebuild it prefix by prefix.
-    The letters must lie in the even subgroup, which `tfn_separation`
-    checks before it reduces them.
-    """
-    signs = _occurrence_signs(letters)
-    gains = [()] * len(letters)  # what each letter adds to comp_{k-1}
-    start = {(): 1}  # comp_{k-1} of the empty prefix
-    while True:
-        prefix = dict(start)
-        step = []
-        for letter, sign, gained in zip(letters, signs, gains):
-            if sign < 0:  # an even occurrence reads the degree below after it
-                _accumulate(prefix, gained)
-            grown = []
-            for mono, coeff in prefix.items():
-                slot = kernels.append_slot(mono, letter, cancel=False)
-                grown.append((mono[:slot] + (letter,) + mono[slot:], sign * coeff))
-            step.append(grown)
-            if sign > 0:
-                _accumulate(prefix, gained)
-        gains, start = step, {}
-        component: dict = {}
-        for grown in gains:
-            _accumulate(component, grown)
-        yield tuple(sorted(component.items()))
-
-
 def tfn_separation(
     w: DiagramWord, max_degree: int | None = None
 ) -> SeparationCertificate | None:
@@ -172,14 +126,10 @@ def tfn_separation(
     or None for the trivial element.  Input must lie in the even diagram
     subgroup.
 
-    Computes the homogeneous components of the lean reduction's image one
-    degree at a time, each one pass over the prefixes of the word, and
-    stops at the first nonzero one.  At the lean length d the image always
-    separates: the coefficient of the lean monomial itself is (-1)^(d/2).
-    ``max_degree`` caps the search (raising `DegreeCapReached` if it
-    bites).
+    The search of `certificates._separate`, over the integers: at the lean
+    length d the image always separates, since the coefficient of the lean
+    monomial itself is (-1)^(d/2).  ``max_degree`` caps the search (raising
+    `DegreeCapReached` if it bites).
     """
-    if _occurrence_signs(w.letters) is None:
-        raise ValueError(_OUTSIDE)
     import cactus_groups.certificates as certificates  # on first use; it imports this module
-    return certificates._separate(w, max_degree, _graded_terms, certificates.RING_Z)
+    return certificates._separate(w, max_degree, certificates.RING_Z)

@@ -7,15 +7,16 @@ to the mod-2 algebra with square-zero generators (each chord t_I maps
 through 1 + t_I); ring "z-torsion-free" to the integer partially
 commutative power-series algebra with the alternating-occurrence map.
 
-The producers search degree by degree: each algebra yields the homogeneous
-components of the lean word's image one degree at a time, every new degree
-one pass over the prefixes of the word, and the search stops at the first
-nonzero one.  `verify_certificate` takes the other road through the
+The whole separation search lives here: one graded engine,
+`_graded_terms`, serves both rings, and `_separate` stops it at the first
+nonzero component.  `verify_certificate` takes the other road through the
 algebra: it builds the whole truncated image (`f2_image` or `z_image`)
 once, at the certified degree, and requires every lower component to
-vanish and the top one to equal the witness.  The two paths share only
-the kernel primitive.  `SeparationCertificate.from_json` validates the
-layout below and raises `CertificateFormatError` for anything else.
+vanish and the top one to equal the witness.  The verifier shares the
+parsing of the element, `lean_reduce` and the `append_slot` scan with the
+producer; it does not share the engine, which it checks against the
+images.  `SeparationCertificate.from_json` validates the layout below and
+raises `CertificateFormatError` for anything else.
 
 JSON layout::
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .algebra_f2 import f2_image
-from .algebra_z import z_image
+from .algebra_z import _OUTSIDE, _occurrence_signs, z_image
 from .words import (
     DiagramWord,
     MAX_STRAND,
@@ -98,7 +99,15 @@ class SeparationCertificate:
     witness: tuple  # ((monomial, coeff), ...), sorted; a monomial is canonical chord masks
 
     def __post_init__(self):
-        object.__setattr__(self, "witness", tuple(self.witness))
+        # Sorted before the checks, so a witness with several faulty entries
+        # reports the same one in any order.  Entries that do not compare
+        # are faulty, and the checks below refuse them.
+        witness = list(self.witness)
+        try:
+            witness.sort()
+        except TypeError:
+            pass
+        object.__setattr__(self, "witness", tuple(witness))
         if not isinstance(self.element, str):
             raise ValueError(f"element must be a str, got {self.element!r}")
         if self.ring not in (RING_F2, RING_Z):
@@ -119,10 +128,6 @@ class SeparationCertificate:
             # positive ints of at most MAX_STRAND bits, the type first: True and 3.0 equal ints
             if {*map(type, mono)} != {int} or min(mono) < 1 or max(mono) >> MAX_STRAND:
                 raise ValueError(f"invalid witness chord in {mono!r}")
-
-    def to_dict(self) -> dict:
-        """The JSON layout as Python objects: `to_json`'s text, read back."""
-        return json.loads(self.to_json())
 
     def to_json(self) -> str:
         """The JSON layout with its keys sorted, spelled byte for byte as
@@ -152,7 +157,7 @@ class SeparationCertificate:
             mono = tuple(_chord(members, known) for members in _field(entry, "monomial", list))
             witness.append((mono, _field(entry, "coeff", int)))
         try:
-            return cls(element, ring, degree, tuple(sorted(witness)))
+            return cls(element, ring, degree, witness)
         except ValueError as exc:
             raise CertificateFormatError(str(exc)) from None
 
@@ -165,21 +170,83 @@ class SeparationCertificate:
         return cls.from_dict(data)
 
 
-def _separate(w: DiagramWord, max_degree: int | None, components, ring: str):
+def _graded_terms(letters: tuple, signs, square_zero: bool):
+    """Yield the homogeneous components 1, 2, ... of the image of a word,
+    each as an unsorted dict monomial -> nonzero coefficient.
+
+    ``signs`` holds, for each letter, the sign of its factor's linear term:
+    1 for an odd occurrence of its chord, whose factor is 1 + a, and -1 for
+    an even one, whose factor is f = 1 - a + a^2 - ...  An odd occurrence
+    gives comp_k(w (1 + a)) = comp_k(w) + comp_{k-1}(w) a: it reads the
+    degree below before its letter.  Since f = 1 - f a, an even one gives
+    comp_k(w f) = comp_k(w) - comp_{k-1}(w f) a: it reads the degree below
+    after its letter.  Either way degree k needs only degree k - 1.  The
+    mod-2 ring is the case where every occurrence is odd, with
+    ``square_zero``: a letter that reaches an equal one kills the monomial,
+    and coefficients are reduced mod 2.
+
+    For the last degree the engine keeps what each letter added; the next
+    pass replays those gains to rebuild comp_{k-1} of every prefix in turn
+    and appends each letter to it.  A degree costs one append per monomial
+    per prefix, so in the mod-2 ring the components up to d together make
+    the appends of one `f2_image` at degree d (92 on (t{1,3} t{1,4})^8);
+    but each of the d passes also steps through every letter and its
+    gains, where the image steps through the letters once.
+    """
+
+    def add(acc: dict, terms) -> None:
+        for mono, coeff in terms:
+            total = acc.pop(mono, 0) + coeff
+            if square_zero:
+                total &= 1
+            if total:
+                acc[mono] = total
+
+    gains = [()] * len(letters)  # what each letter adds to comp_{k-1}
+    start = {(): 1}  # comp_{k-1} of the empty prefix
+    while True:
+        prefix = dict(start)
+        step = []
+        for letter, sign, gained in zip(letters, signs, gains):
+            if sign < 0:
+                add(prefix, gained)
+            grown = []
+            for mono, coeff in prefix.items():
+                slot = kernels.append_slot(mono, letter, square_zero)
+                if slot >= 0:
+                    grown.append((mono[:slot] + (letter,) + mono[slot:], sign * coeff))
+            step.append(grown)
+            if sign > 0:
+                add(prefix, gained)
+        gains, start = step, {}
+        component: dict = {}
+        for grown in gains:
+            add(component, grown)
+        yield component
+
+
+def _separate(w: DiagramWord, max_degree: int | None, ring: str):
     """The separation search of both rings: the first degree at which the
     image of the lean reduction has a nonzero homogeneous component, or
-    None for the trivial element.  ``components(lean)`` yields the sorted
-    nonconstant terms of that image, degree 1, 2, ... in turn.
+    None for the trivial element.  A Z word outside the even subgroup is
+    refused first; lean reduction keeps every chord's parity, so one
+    occurrence pass over the lean word both refuses it and signs it.
     """
+    lean = kernels.lean_reduce(w.letters)
+    square_zero = ring == RING_F2
+    if square_zero:
+        signs = (1,) * len(lean)
+    elif (signs := _occurrence_signs(lean)) is None:
+        raise ValueError(_OUTSIDE)
     if max_degree is not None and max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
-    lean = kernels.lean_reduce(w.letters)
     if not lean:
         return None
     cap = len(lean) if max_degree is None else min(max_degree, len(lean))
-    for degree, terms in zip(range(1, cap + 1), components(lean)):
-        if terms:
-            return SeparationCertificate(format_diagram_word(w), ring, degree, terms)
+    terms = _graded_terms(lean, signs, square_zero)
+    for degree, component in zip(range(1, cap + 1), terms):
+        if component:
+            return SeparationCertificate(format_diagram_word(w), ring, degree, component.items())
     if cap < len(lean):
         raise DegreeCapReached(f"not separated by degree {cap}")
     raise RuntimeError("lean word image was trivial at its own length; impossible")

@@ -183,6 +183,8 @@ def chord_mask(members: Iterable[int], n: int) -> int:
     `MAX_STRAND`, nonempty)."""
     mask = 0
     for i in members:
+        if type(i) is not int:  # True and 1.0 equal 1
+            raise ValueError(f"strand {i!r} is not an int")
         if not 1 <= i <= n:
             raise ValueError(f"strand {i} out of range 1..{n}")
         if i > MAX_STRAND:

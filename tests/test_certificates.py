@@ -1,10 +1,10 @@
 import json
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from cactus_groups import algebra_f2, algebra_z, certificates, kernels
+from cactus_groups import algebra_z, certificates, kernels
 from cactus_groups.algebra_f2 import f2_image, nilpotent_separation
 from cactus_groups.algebra_z import tfn_separation, z_image
 from cactus_groups.certificates import (
@@ -85,6 +85,8 @@ def test_construction_validation():
         {**good, "witness": (((-3,), 1),)},
         {**good, "witness": (((1 << MAX_STRAND,), 1),)},
         {**zgood, "witness": (((3, 5.0), 2),)},
+        # entries that do not compare, so the witness cannot be sorted
+        {**good, "witness": (((3,), 1), (("3",), 1))},
     ):
         with pytest.raises(ValueError):
             SeparationCertificate(**bad)
@@ -144,11 +146,14 @@ def lean_certificates(draw):
 
 
 @given(lean_certificates())
+# a witness given out of order is stored sorted
+@example(SeparationCertificate(ALT, RING_F2, 2, (((5, 3), 1), ((3, 5), 1))))
 def test_certificates_round_trip_through_their_json(cert):
     text = cert.to_json()
     assert SeparationCertificate.from_json(text) == cert
-    assert json.loads(text) == cert.to_dict()
-    assert text == json.dumps(cert.to_dict(), sort_keys=True)
+    assert text == json.dumps(json.loads(text), sort_keys=True)
+    ordered = SeparationCertificate(cert.element, cert.ring, cert.degree, sorted(cert.witness))
+    assert text == ordered.to_json()
     assert verify_certificate(cert)
 
 
@@ -301,7 +306,7 @@ def test_graded_components_match_the_walks_and_the_images(rng):
             random_lean_word(rng, n, rng.randrange(1, 7)),
         ):
             k = len(w) + 1
-            comps = graded(algebra_f2._graded_terms(w.letters), k)
+            comps = graded(certificates._graded_terms(w.letters, (1,) * len(w), True), k)
             walk = expand_f2(w.letters, k)
             image = f2_image(w, k)
             for d in range(1, k + 1):
@@ -313,7 +318,8 @@ def test_graded_components_match_the_walks_and_the_images(rng):
             random_even_lean_word(rng, n, rng.randrange(2, 4)),
         ):
             k = len(w) + 1
-            comps = graded(algebra_z._graded_terms(w.letters), k)
+            signs = algebra_z._occurrence_signs(w.letters)
+            comps = graded(certificates._graded_terms(w.letters, signs, False), k)
             walk = expand_z(w.letters, k)
             image = z_image(w, k)
             for d in range(1, k + 1):
@@ -431,6 +437,28 @@ def test_verify_rejects_a_degree_above_the_lean_length_without_an_image(
     assert len(calls) == 1
 
 
+def test_the_searches_make_a_counted_number_of_appends(monkeypatch):
+    # a cost contract, counted rather than timed: the F2 search makes the
+    # appends of one image at its separating degree
+    calls = []
+    append_slot = kernels.append_slot
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return append_slot(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "append_slot", counted)
+    w = dw(" ".join(["t{1,3} t{1,4}"] * 8), 4)
+    assert nilpotent_separation(w).degree == 8
+    assert len(calls) == 92
+    calls.clear()
+    f2_image(w, 8)
+    assert len(calls) == 92
+    calls.clear()
+    assert tfn_separation(dw("t{1,2} t{2,3} t{1,2} t{2,3}")).degree == 2
+    assert len(calls) == 6
+
+
 def test_the_certificate_layer_loads_no_group_layer():
     script = (
         "import sys\n"
@@ -495,7 +523,7 @@ def test_from_dict_rejects_malformed_data(data):
 
 @pytest.mark.parametrize("separate", [nilpotent_separation, tfn_separation], ids=["f2", "z"])
 def test_from_dict_rejects_a_repeated_monomial(separate):
-    data = separate(dw(ALT)).to_dict()
+    data = json.loads(separate(dw(ALT)).to_json())
     data["witness"].append(dict(data["witness"][0]))
     with pytest.raises(CertificateFormatError, match="more than once"):
         SeparationCertificate.from_dict(data)
@@ -504,7 +532,7 @@ def test_from_dict_rejects_a_repeated_monomial(separate):
 @pytest.mark.parametrize("separate", [nilpotent_separation, tfn_separation], ids=["f2", "z"])
 @pytest.mark.parametrize("strands", [[2, 1], [1, 2, 1]])
 def test_from_dict_rejects_unordered_strands(separate, strands):
-    data = separate(dw(ALT)).to_dict()
+    data = json.loads(separate(dw(ALT)).to_json())
     data["witness"][0]["monomial"][0] = strands
     with pytest.raises(CertificateFormatError, match="strictly ascending"):
         SeparationCertificate.from_dict(data)

@@ -228,6 +228,11 @@ def test_chord_mask_rejects_bad_input():
         chord_mask([4], 3)
     with pytest.raises(ValueError):
         chord_mask([0], 3)
+    # strands are ints: a bool or a float is refused by type
+    with pytest.raises(ValueError):
+        chord_mask([True, 2], 3)
+    with pytest.raises(ValueError):
+        chord_mask([1.0, 2], 3)
 
 
 @pytest.mark.parametrize("mask", [-1, -6])
