@@ -15,8 +15,9 @@ the minimal nontrivial truncation degree a certificate of nontriviality
 in a torsion-free nilpotent quotient.
 
 Which occurrence of its chord each letter is, odd or even, is the one
-group fact this ring reads, and `_occurrence_signs` is its one pass: it
-also tells a word outside the even subgroup, so the ring needs no group
+group fact this ring reads, and `_occurrence_signs` is its one pass.  It
+is also the one place that refuses a word outside the even subgroup, for
+`z_image` and the separation search alike, so the ring needs no group
 layer, only `words` and `kernels`.
 """
 
@@ -32,25 +33,21 @@ if TYPE_CHECKING:
     from .certificates import SeparationCertificate
 
 
-_OUTSIDE = "word is outside the even diagram subgroup (odd chord parity)"
-
-
-def _occurrence_signs(letters: tuple) -> list | None:
+def _occurrence_signs(letters: tuple) -> list:
     """For each letter, the sign of its factor's linear term: 1 for an odd
     occurrence of its chord (the first, third, ...), whose factor is 1 + t,
-    and -1 for an even one, whose factor is 1 - t + t^2 - ...  None when
-    some chord occurs an odd number of times in all: the word is outside
-    the even diagram subgroup."""
-    odd = set()  # chords met an odd number of times so far
+    and -1 for an even one, whose factor is 1 - t + t^2 - ...
+
+    The one place that refuses a word outside the even diagram subgroup:
+    `ValueError` when some chord occurs an odd number of times in all."""
+    last = {}  # chord -> the sign of its latest occurrence: 1 while its count is odd
     signs = []
     for letter in letters:
-        if letter in odd:
-            odd.remove(letter)
-            signs.append(-1)
-        else:
-            odd.add(letter)
-            signs.append(1)
-    return None if odd else signs
+        sign = last[letter] = -last.get(letter, -1)
+        signs.append(sign)
+    if 1 in last.values():
+        raise ValueError("word is outside the even diagram subgroup (odd chord parity)")
+    return signs
 
 
 class ZSeries(_Frozen):
@@ -76,7 +73,8 @@ def z_image(w: DiagramWord, degree: int) -> ZSeries:
     """Image of an even-subgroup word: the per-occurrence factors, odd or
     even as `_occurrence_signs` reads them, multiplied in order.
     Outside the even subgroup the assignment is not relation invariant, so
-    such input is rejected.
+    `_occurrence_signs` refuses such input.  A degree below 1 is refused
+    before that pass.
 
     A factor 1 + t or 1 - t + t^2 - ... grows each monomial m into m a^j.
     Appending a letter again lands right after its previous copy, so one
@@ -91,9 +89,9 @@ def z_image(w: DiagramWord, degree: int) -> ZSeries:
     once.  No series is copied, and terms of full length are never visited
     again.
     """
+    if degree < 1:
+        raise ValueError("truncation degree must be at least 1")
     signs = _occurrence_signs(w.letters)
-    if signs is None:
-        raise ValueError(_OUTSIDE)
     by_length: list = [{} for _ in range(degree + 1)]  # length -> {monomial: coeff}
     by_length[0][()] = 1
     for letter, sign in zip(w.letters, signs):

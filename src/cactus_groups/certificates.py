@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .algebra_f2 import f2_image
-from .algebra_z import _OUTSIDE, _occurrence_signs, z_image
+from .algebra_z import _occurrence_signs, z_image
 from .words import (
     DiagramWord,
     MAX_STRAND,
@@ -229,15 +229,15 @@ def _separate(w: DiagramWord, max_degree: int | None, ring: str):
     """The separation search of both rings: the first degree at which the
     image of the lean reduction has a nonzero homogeneous component, or
     None for the trivial element.  A Z word outside the even subgroup is
-    refused first; lean reduction keeps every chord's parity, so one
-    occurrence pass over the lean word both refuses it and signs it.
+    refused first: lean reduction keeps every chord's parity, so
+    `_occurrence_signs` over the lean word both refuses it and signs it.
+    Then a cap that is not an int of at least 1 is refused.
     """
     lean = kernels.lean_reduce(w.letters)
     square_zero = ring == RING_F2
-    if square_zero:
-        signs = (1,) * len(lean)
-    elif (signs := _occurrence_signs(lean)) is None:
-        raise ValueError(_OUTSIDE)
+    signs = (1,) * len(lean) if square_zero else _occurrence_signs(lean)
+    if type(max_degree) not in (int, type(None)):  # nor a bool, as a certificate's degree
+        raise ValueError(f"max_degree must be an int, got {max_degree!r}")
     if max_degree is not None and max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     if not lean:
@@ -269,7 +269,7 @@ def verify_certificate(cert: SeparationCertificate) -> bool:
     except ValueError:
         return False
     letters = kernels.lean_reduce(word.letters)
-    if not letters or cert.degree > len(letters):
+    if cert.degree > len(letters):  # every degree is at least 1
         return False
     lean = DiagramWord._unchecked(word.n, letters)  # letters of the parsed word
 

@@ -62,7 +62,7 @@ ALT = "t{1,2} t{1,3} t{1,2} t{1,3}"
 WORKED = "s1,2 s1,3 s1,2 s1,3 s1,2 s1,3"
 CACTUS_VERBS = ("perm", "is-pure", "eq", "diagram", "gamma0", "project", "render")
 DIAGRAM_VERBS = ("nf", "deq", "delta", "separate", "make-generator", "render")
-# One token for each message of each grammar, the bound's just past it.
+# A token for each error message of each grammar; the last is past MAX_STRAND.
 BAD_GENERATORS = ("x", "s1;2", "s0,2", "s3,2", "s2,2", "s1,9", "s1,5000")
 BAD_CHORDS = ("x", "t{}", "t{1,,2}", "t{2,1}", "t{1,1}", "t{0,1}", "t{9}", "t{1,5000}")
 
@@ -98,8 +98,8 @@ def record(argv, stdin=None):
     return _line(argv, stdin, _call(argv, stdin))
 
 
-def cactus_text(w):
-    return " ".join(f"s{g.p},{g.q}" for g in w.letters)
+def cactus_text(letters):
+    return " ".join(f"s{g.p},{g.q}" for g in letters)
 
 
 def chord_text(mask):
@@ -130,38 +130,44 @@ def pure_cactus_text(rng, n, length):
                 perm = moved
                 letters.append(g)
                 break
-    return " ".join(f"s{g.p},{g.q}" for g in letters)
+    return cactus_text(letters)
 
 
 def _verb_cases(rng):
     """Each verb on seeded words at n = 2 ... 7, and at 11 and 12, past the
     spelling tables."""
+
+    def cactus(n, length):
+        return cactus_text(random_cactus_word(rng, n, length).letters)
+
     for n in (*[rng.randrange(2, 8) for _ in range(14)], 11, 12):
-        yield "perm", "--n", str(n), cactus_text(random_cactus_word(rng, n, rng.randrange(9)))
-        yield "diagram", "--n", str(n), cactus_text(random_cactus_word(rng, n, rng.randrange(9)))
+        yield "perm", "--n", str(n), cactus(n, rng.randrange(9))
+        yield "diagram", "--n", str(n), cactus(n, rng.randrange(9))
         yield "is-pure", "--n", str(n), pure_cactus_text(rng, n, rng.randrange(5))
-        yield "is-pure", "--n", str(n), cactus_text(random_cactus_word(rng, n, rng.randrange(5)))
+        yield "is-pure", "--n", str(n), cactus(n, rng.randrange(5))
         yield "gamma0", "--n", str(n), pure_cactus_text(rng, n, rng.randrange(6))
-        yield "gamma0", "--n", str(n), cactus_text(random_cactus_word(rng, n, rng.randrange(4)))
+        yield "gamma0", "--n", str(n), cactus(n, rng.randrange(4))
         u = random_cactus_word(rng, n, rng.randrange(6))
         g = random_cactus_word(rng, n, 1)
-        yield "eq", "--n", str(n), cactus_text(u), cactus_text(u * g * g)
-        yield "eq", "--n", str(n), cactus_text(u), cactus_text(random_cactus_word(rng, n, len(u)))
-        yield "render", "--n", str(n), cactus_text(random_cactus_word(rng, n, rng.randrange(4)))
+        yield "eq", "--n", str(n), cactus_text(u.letters), cactus_text((u * g * g).letters)
+        yield "eq", "--n", str(n), cactus_text(u.letters), cactus(n, len(u))
+        yield "render", "--n", str(n), cactus(n, rng.randrange(4))
     for n in (*[rng.randrange(2, 7) for _ in range(12)], 11, 12):
-        w = random_diagram_word(rng, n, rng.randrange(12))
-        yield "nf", "--n", str(n), diagram_text(w.letters)
-        yield "nf", "--n", str(n), diagram_text(random_even_word(rng, n, rng.randrange(6)).letters)
-        yield "deq", "--n", str(n), diagram_text(w.letters), diagram_text(reference_lean_reduce(w.letters))
-        shuffled = list(w.letters)
+        w = random_diagram_word(rng, n, rng.randrange(12)).letters
+        even = random_even_word(rng, n, rng.randrange(6)).letters
+        yield "nf", "--n", str(n), diagram_text(w)
+        yield "nf", "--n", str(n), diagram_text(even)
+        yield "deq", "--n", str(n), diagram_text(w), diagram_text(reference_lean_reduce(w))
+        shuffled = list(w)
         rng.shuffle(shuffled)
-        yield "deq", "--n", str(n), diagram_text(w.letters), diagram_text(shuffled)
-        yield "delta", "--n", str(n), diagram_text(w.letters)
-        yield "render", "--n", str(n), diagram_text(random_diagram_word(rng, n, rng.randrange(4)).letters)
+        yield "deq", "--n", str(n), diagram_text(w), diagram_text(shuffled)
+        yield "delta", "--n", str(n), diagram_text(w)
+        drawn = random_diagram_word(rng, n, rng.randrange(4)).letters
+        yield "render", "--n", str(n), diagram_text(drawn)
     for n in (3, 4, 5, 6):
         for _ in range(3):
             yield "project", "--n", str(n), pure_cactus_text(rng, n, rng.randrange(1, 8))
-        yield "project", "--n", str(n), cactus_text(random_cactus_word(rng, n, 3))
+        yield "project", "--n", str(n), cactus(n, 3)
     # every chord on more than two strands at n = 5, and some past the tables
     for mask in range(1, 1 << 5):
         if mask.bit_count() > 2:
@@ -205,8 +211,8 @@ def _fixed_cases():
         ring = ("--ring", "f2") if verb == "separate" else ()
         for n in ("0", "-3"):
             yield (verb, "--n", n, *ring, *words)
-    # every message of each grammar, once per verb that reads it, in a
-    # random position among good tokens, repeated
+    # every message of each grammar, once per verb that reads it: the bad
+    # token after one to three good ones, and again later
     good = {"cactus": ("s1,2", "s2,3", "s1,3"), "diagram": ("t{1,2}", "t{2,3}", "t{1,2,3}")}
     for grammar, verbs, bad_tokens in (
         ("cactus", CACTUS_VERBS, BAD_GENERATORS), ("diagram", DIAGRAM_VERBS, BAD_CHORDS)
@@ -250,7 +256,8 @@ def _separate_cases(rng):
         yield "separate", "--n", "3", "--ring", ring, ALT
         for brackets in range(1, 5):
             yield "separate", "--n", "6", "--ring", ring, nested_commutator_text(brackets)
-        yield "separate", "--n", "6", "--ring", ring, "--max-degree", "2", nested_commutator_text(3)
+        capped = nested_commutator_text(3)
+        yield "separate", "--n", "6", "--ring", ring, "--max-degree", "2", capped
         yield "separate", "--n", "3", "--ring", ring, "--max-degree", "1", ALT
         yield "separate", "--max-degree", "9", "--ring", ring, "--n", "3", ALT
         for cap in ("0", "-1"):

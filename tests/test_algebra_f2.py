@@ -86,8 +86,9 @@ def test_f2_image_examples():
 
 
 def test_f2_image_requires_positive_degree():
-    with pytest.raises(ValueError, match="truncation degree must be at least 1"):
-        f2_image(dw("t{1,2}"), 0)
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="truncation degree must be at least 1"):
+            f2_image(dw("t{1,2}"), degree)
 
 
 def test_f2_image_is_homomorphism(rng):

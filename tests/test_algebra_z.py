@@ -106,8 +106,11 @@ def test_z_image_examples():
     for k in (1, 2, 5):
         assert z_is_one(z_image(dw("t{1,2} t{1,2}"), k))
     assert dict(z_image(dw(ALT), 2).coeffs) == {(): 1, (A, B): 1, (B, A): -1}
-    with pytest.raises(ValueError, match="truncation degree must be at least 1"):
-        z_image(dw("t{1,2} t{1,2}"), 0)
+    # refused before the occurrence pass, which would refuse the odd word
+    for word in ("t{1,2} t{1,2}", "t{1,2,3}"):
+        for degree in (0, -1):
+            with pytest.raises(ValueError, match="truncation degree must be at least 1"):
+                z_image(dw(word), degree)
 
 
 def test_z_image_rejects_odd_parity():

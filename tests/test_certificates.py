@@ -252,6 +252,13 @@ def test_degree_cap():
     with pytest.raises(DegreeCapReached):
         tfn_separation(dw(ALT), max_degree=1)
     assert f2_cert(ALT, max_degree=2).degree == 2
+    # a cap that is not an int is refused, a bool too, but after an odd Z word
+    for cap in (True, 1.5):
+        for separate in (nilpotent_separation, tfn_separation):
+            with pytest.raises(ValueError, match=f"max_degree must be an int, got {cap!r}"):
+                separate(dw(ALT), max_degree=cap)
+        with pytest.raises(ValueError, match="odd chord parity"):
+            tfn_separation(dw("t{1,2,3}"), max_degree=cap)
 
 
 def test_from_dict_normalizes_masks():

@@ -9,6 +9,7 @@ from cactus_groups import KERNEL_BACKEND, _kernels_py, kernels
 from cactus_groups.words import DiagramWord
 from helpers import (
     _blocks,
+    random_diagram_word,
     reference_append_slot,
     reference_is_lean,
     reference_lean_reduce,
@@ -377,3 +378,16 @@ def two_block_words(draw):
 @example((6, 6, 3))  # places into an empty prefix, first and after a pop
 def test_lean_reduce_scans_across_commuting_blocks(word):
     assert _kernels_py.lean_reduce(word) == reference_lex_least(plain_fold(word))
+
+
+def test_the_fold_meets_about_one_prefix_letter_per_input_letter(rng):
+    # A cost contract, counted rather than timed: on seeded random words the
+    # scans meet at most 2 prefix letters per input letter (0.85-1.31 when set),
+    # and four times the letters meet at most 4.5 times as many.
+    for n in range(4, 9):
+        met = {}
+        for length in (1_000, 4_000):
+            _, per_letter = meetings(random_diagram_word(rng, n, length).letters)
+            met[length] = sum(map(len, per_letter))
+            assert met[length] <= 2 * length, (n, length, met[length])
+        assert met[4_000] <= 4.5 * met[1_000], (n, met)
