@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import kernels
-from .words import DiagramWord, _Frozen
+from .words import DiagramWord, _Frozen, _check_degree
 
 if TYPE_CHECKING:
     from .certificates import SeparationCertificate
@@ -41,8 +41,7 @@ class F2Series(_Frozen):
 
     def __post_init__(self):
         object.__setattr__(self, "support", frozenset(self.support))
-        if self.degree < 1:
-            raise ValueError("truncation degree must be at least 1")
+        _check_degree(self.degree)
         if max(map(len, self.support), default=0) > self.degree:
             raise ValueError("monomial exceeds truncation degree")
 
@@ -51,7 +50,8 @@ def f2_image(w: DiagramWord, degree: int) -> F2Series:
     """Image of a chord word: the truncated product of 1 + t over its
     letters.  Each letter grows every monomial below the truncation degree
     by one append; a monomial whose new letter meets an equal one across
-    commuting letters vanishes.
+    commuting letters vanishes.  A letter placed at the end grows its
+    monomial by one concatenation, and that is the common case.
 
     A letter's grown monomials are collected in one pass and toggled into
     the support together.  No two of them are equal: m -> m t_a is one to
@@ -61,16 +61,18 @@ def f2_image(w: DiagramWord, degree: int) -> F2Series:
     >>> sorted(f2_image(DiagramWord(2, (0b11, 0b11)), 3).support)
     [()]
     """
-    if degree < 1:
-        raise ValueError("truncation degree must be at least 1")
+    _check_degree(degree)
     support = {()}
     for letter in w.letters:
+        end = (letter,)
         grown = []
         for mono in support:
-            if len(mono) < degree:
+            if (size := len(mono)) < degree:
                 slot = kernels.append_slot(mono, letter)
-                if slot >= 0:
-                    grown.append(mono[:slot] + (letter,) + mono[slot:])
+                if slot == size:
+                    grown.append(mono + end)
+                elif slot >= 0:
+                    grown.append(mono[:slot] + end + mono[slot:])
         support.symmetric_difference_update(grown)
     # unchecked: only monomials shorter than the degree grow
     return F2Series._unchecked(degree, frozenset(support))

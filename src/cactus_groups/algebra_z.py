@@ -27,7 +27,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from . import kernels
-from .words import DiagramWord, _Frozen
+from .words import DiagramWord, _Frozen, _check_degree
 
 if TYPE_CHECKING:
     from .certificates import SeparationCertificate
@@ -64,8 +64,7 @@ class ZSeries(_Frozen):
     coeffs: Mapping
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("truncation degree must be at least 1")
+        _check_degree(self.degree)
         object.__setattr__(self, "coeffs", MappingProxyType(self.coeffs))
 
 
@@ -73,12 +72,14 @@ def z_image(w: DiagramWord, degree: int) -> ZSeries:
     """Image of an even-subgroup word: the per-occurrence factors, odd or
     even as `_occurrence_signs` reads them, multiplied in order.
     Outside the even subgroup the assignment is not relation invariant, so
-    `_occurrence_signs` refuses such input.  A degree below 1 is refused
-    before that pass.
+    `_occurrence_signs` refuses such input.  A degree that is not an int
+    of at least 1 is refused before that pass.
 
     A factor 1 + t or 1 - t + t^2 - ... grows each monomial m into m a^j.
     Appending a letter again lands right after its previous copy, so one
-    scan finds the slot for every power.
+    scan finds the slot for every power.  A letter placed at the end grows
+    its monomial by one concatenation per power, and that is the common
+    case; elsewhere each power is the grown head and the tail joined.
 
     The terms are kept in one dict per monomial length and updated in
     place.  For each letter the source lengths are walked from
@@ -89,28 +90,28 @@ def z_image(w: DiagramWord, degree: int) -> ZSeries:
     once.  No series is copied, and terms of full length are never visited
     again.
     """
-    if degree < 1:
-        raise ValueError("truncation degree must be at least 1")
+    _check_degree(degree)
     signs = _occurrence_signs(w.letters)
     by_length: list = [{} for _ in range(degree + 1)]  # length -> {monomial: coeff}
     by_length[0][()] = 1
     for letter, sign in zip(w.letters, signs):
+        end = (letter,)
         for length in range(degree - 1, -1, -1):
             # an odd occurrence grows by a alone, an even one by every power
             targets = by_length[length + 1 : length + 2 if sign > 0 else None]
             for mono, coeff in by_length[length].items():
                 slot = kernels.append_slot(mono, letter, cancel=False)
-                head, tail = mono[:slot], mono[slot:]
-                run = ()
+                # m a^j is m with j letters at the slot; at the end, no tail
+                grown, tail = (mono, ()) if slot == length else (mono[:slot], mono[slot:])
                 for target in targets:
                     coeff *= sign
-                    run += (letter,)
-                    grown = head + run + tail
-                    total = target.get(grown, 0) + coeff
+                    grown += end
+                    key = grown + tail if tail else grown
+                    total = target.get(key, 0) + coeff
                     if total:
-                        target[grown] = total
+                        target[key] = total
                     else:
-                        del target[grown]
+                        del target[key]
     coeffs = by_length[0]
     for terms in by_length[1:]:
         coeffs.update(terms)

@@ -187,11 +187,13 @@ def _graded_terms(letters: tuple, signs, square_zero: bool):
 
     For the last degree the engine keeps what each letter added; the next
     pass replays those gains to rebuild comp_{k-1} of every prefix in turn
-    and appends each letter to it.  A degree costs one append per monomial
-    per prefix, so in the mod-2 ring the components up to d together make
-    the appends of one `f2_image` at degree d (92 on (t{1,3} t{1,4})^8);
-    but each of the d passes also steps through every letter and its
-    gains, where the image steps through the letters once.
+    and appends each letter to it.  A letter placed at the end grows its
+    monomial by one concatenation, and that is the common case.  A degree
+    costs one append per monomial per prefix, so in the mod-2 ring the
+    components up to d together make the appends of one `f2_image` at
+    degree d (92 on (t{1,3} t{1,4})^8); but each of the d passes also
+    steps through every letter and its gains, where the image steps
+    through the letters once.
     """
 
     def add(acc: dict, terms) -> None:
@@ -210,11 +212,14 @@ def _graded_terms(letters: tuple, signs, square_zero: bool):
         for letter, sign, gained in zip(letters, signs, gains):
             if sign < 0:
                 add(prefix, gained)
+            end = (letter,)
             grown = []
             for mono, coeff in prefix.items():
                 slot = kernels.append_slot(mono, letter, square_zero)
-                if slot >= 0:
-                    grown.append((mono[:slot] + (letter,) + mono[slot:], sign * coeff))
+                if slot == len(mono):
+                    grown.append((mono + end, sign * coeff))
+                elif slot >= 0:
+                    grown.append((mono[:slot] + end + mono[slot:], sign * coeff))
             step.append(grown)
             if sign > 0:
                 add(prefix, gained)

@@ -74,6 +74,15 @@ def _check_arity(n: int) -> None:
         raise ValueError(f"arity must be positive, got {n}")
 
 
+def _check_degree(degree: int) -> None:
+    """The one degree check of both algebras' images and series: refuse a
+    truncation degree that is not an int (a bool too) or is below 1."""
+    if type(degree) is not int:
+        raise ValueError(f"truncation degree must be an int, got {degree!r}")
+    if degree < 1:
+        raise ValueError("truncation degree must be at least 1")
+
+
 _setattr = object.__setattr__
 
 

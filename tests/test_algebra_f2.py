@@ -51,6 +51,9 @@ def test_f2_series_basics():
     assert not f2_is_one(x)
     assert f2_add(x, x).support == frozenset()
     assert f2_add(x, one).support == frozenset({(A,)})
+    for degree in (1.5, True, None):
+        with pytest.raises(ValueError, match="truncation degree must be an int, got"):
+            F2Series(degree, ())
 
 
 def test_f2_multiply_involution():
@@ -89,6 +92,18 @@ def test_f2_image_requires_positive_degree():
     for degree in (0, -1):
         with pytest.raises(ValueError, match="truncation degree must be at least 1"):
             f2_image(dw("t{1,2}"), degree)
+    # a bool is an int, and 2.0 compares like one: the type decides
+    for degree in (2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="truncation degree must be an int, got"):
+            f2_image(dw("t{1,2}"), degree)
+
+
+def test_f2_image_makes_a_counted_number_of_appends(append_calls):
+    # one append per monomial shorter than the degree and letter, wherever
+    # the letter lands
+    w = dw("t{1,2} t{2,3} t{1,3,4} t{2,4} t{1,2,3} t{3,4} t{1,4} t{2,3,4}", 4)
+    assert len(f2_image(w, 8).support) == 256
+    assert len(append_calls) == 255
 
 
 def test_f2_image_is_homomorphism(rng):

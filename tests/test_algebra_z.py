@@ -43,6 +43,9 @@ def test_zseries_keeps_its_terms_read_only():
         x.coeffs[(A,)] = 1
     with pytest.raises(ValueError):
         ZSeries(0, {})
+    for degree in (1.5, True, None):
+        with pytest.raises(ValueError, match="truncation degree must be an int, got"):
+            ZSeries(degree, {})
 
 
 def test_z_one_and_add():
@@ -111,6 +114,18 @@ def test_z_image_examples():
         for degree in (0, -1):
             with pytest.raises(ValueError, match="truncation degree must be at least 1"):
                 z_image(dw(word), degree)
+        # a bool is an int, and 2.0 compares like one: the type decides
+        for degree in (2.5, 2.0, True, "3", None):
+            with pytest.raises(ValueError, match="truncation degree must be an int, got"):
+                z_image(dw(word), degree)
+
+
+def test_z_image_makes_a_counted_number_of_appends(append_calls):
+    # one append per source term and letter, wherever the letter lands and
+    # however many powers of an even occurrence it grows
+    text = "t{1,2,3} t{1,2,4} t{1,3} t{2,3,4} t{1,2,4} t{1,3} t{2,3,4} t{1,2,3}"
+    assert len(z_image(dw(text, 4), 8).coeffs) == 1945
+    assert len(append_calls) == 851
 
 
 def test_z_image_rejects_odd_parity():

@@ -333,6 +333,56 @@ def test_graded_components_match_the_walks_and_the_images(rng):
                 assert comps[d] == walk[d] == z_homogeneous_component(image, d)
 
 
+def test_every_fold_takes_each_path_of_an_append(rng, monkeypatch):
+    # Most appended letters land at the end of the monomial, where a fold
+    # grows it by one concatenation.  Each fold is judged here on appends
+    # that land inside the monomial too, and over GF(2) on ones that cancel.
+    paths = {}
+    current = None  # the fold whose appends are recorded; None for a walk
+    append_slot = kernels.append_slot
+
+    def recorded(word, letter, cancel=True):
+        slot = append_slot(word, letter, cancel)
+        if current is not None:
+            path = "cancel" if slot < 0 else "end" if slot == len(word) else "middle"
+            paths.setdefault(current, set()).add(path)
+        return slot
+
+    def fold(name, call):
+        nonlocal current
+        current = name
+        try:
+            return call()
+        finally:
+            current = None
+
+    monkeypatch.setattr(kernels, "append_slot", recorded)
+    for _ in range(30):
+        n = rng.choice([3, 4])
+        w = random_diagram_word(rng, n, rng.randrange(1, 7))
+        k = len(w) + 1
+        walk = expand_f2(w.letters, k)
+        image = fold("f2_image", lambda: f2_image(w, k))
+        terms = certificates._graded_terms(w.letters, (1,) * len(w), True)
+        comps = fold("graded f2", lambda: graded(terms, k))
+        for d in range(1, k + 1):
+            assert set(comps[d]) == walk[d] == f2_homogeneous_component(image, d)
+        w = random_even_word(rng, n, rng.randrange(1, 4))
+        k = len(w) + 1
+        walk = expand_z(w.letters, k)
+        image = fold("z_image", lambda: z_image(w, k))
+        signs = algebra_z._occurrence_signs(w.letters)
+        terms = certificates._graded_terms(w.letters, signs, False)
+        comps = fold("graded z", lambda: graded(terms, k))
+        for d in range(1, k + 1):
+            assert comps[d] == walk[d] == z_homogeneous_component(image, d)
+    every = {"end", "middle", "cancel"}
+    assert paths == {
+        "f2_image": every, "graded f2": every, "z_image": every - {"cancel"},
+        "graded z": every - {"cancel"},
+    }
+
+
 def test_truncated_images_match_the_walks(rng):
     # every truncation degree from 1 to past the top, so that most images
     # drop terms; the Z words have the bench's shape, 4 pairs at n <= 6,
@@ -444,26 +494,17 @@ def test_verify_rejects_a_degree_above_the_lean_length_without_an_image(
     assert len(calls) == 1
 
 
-def test_the_searches_make_a_counted_number_of_appends(monkeypatch):
-    # a cost contract, counted rather than timed: the F2 search makes the
-    # appends of one image at its separating degree
-    calls = []
-    append_slot = kernels.append_slot
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return append_slot(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "append_slot", counted)
+def test_the_searches_make_a_counted_number_of_appends(append_calls):
+    # the F2 search makes the appends of one image at its separating degree
     w = dw(" ".join(["t{1,3} t{1,4}"] * 8), 4)
     assert nilpotent_separation(w).degree == 8
-    assert len(calls) == 92
-    calls.clear()
+    assert len(append_calls) == 92
+    append_calls.clear()
     f2_image(w, 8)
-    assert len(calls) == 92
-    calls.clear()
+    assert len(append_calls) == 92
+    append_calls.clear()
     assert tfn_separation(dw("t{1,2} t{2,3} t{1,2} t{2,3}")).degree == 2
-    assert len(calls) == 6
+    assert len(append_calls) == 6
 
 
 def test_the_certificate_layer_loads_no_group_layer():
